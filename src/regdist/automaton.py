@@ -10,7 +10,9 @@ the quotient is a plain deterministic automaton over the same behaviours.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .derivatives import output, step
 from .syntax import (
@@ -162,28 +164,35 @@ def build(
     )
 
 
+def product_walk(aut: QuotientAutomaton, s: int, t: int) -> Iterator[tuple[tuple[int, int], str]]:
+    """Breadth-first walk over the unordered state pairs reachable from {s, t}.
+
+    Yields each pair once, in discovery order, together with the least word
+    (shortest, then least in alphabet order) whose synchronized steps lead
+    from {s, t} to it; the starting pair comes first with the empty word.
+    Diagonal pairs are included.  Callers may stop the walk early.
+    """
+    start = (min(s, t), max(s, t))
+    seen = {start}
+    queue: deque[tuple[tuple[int, int], str]] = deque([(start, "")])
+    while queue:
+        (u, v), word = queue.popleft()
+        yield (u, v), word
+        for k, letter in enumerate(aut.alphabet):
+            du = aut.transitions[u][k]
+            dv = aut.transitions[v][k]
+            pair = (min(du, dv), max(du, dv))
+            if pair not in seen:
+                seen.add(pair)
+                queue.append((pair, word + letter))
+
+
 def product_pairs(aut: QuotientAutomaton, s: int, t: int) -> tuple[tuple[int, int], ...]:
     """Unordered state pairs reachable from {s, t} under synchronized steps.
 
     The starting pair is included; pairs are returned in discovery order.
     """
-    start = (min(s, t), max(s, t))
-    seen = {start}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        nxt: list[tuple[int, int]] = []
-        for u, v in frontier:
-            for k in range(len(aut.alphabet)):
-                du = aut.transitions[u][k]
-                dv = aut.transitions[v][k]
-                pair = (min(du, dv), max(du, dv))
-                if pair not in seen:
-                    seen.add(pair)
-                    order.append(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    return tuple(order)
+    return tuple(pair for pair, _ in product_walk(aut, s, t))
 
 
 def to_dot(aut: QuotientAutomaton) -> str:

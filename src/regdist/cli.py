@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build, product_pairs, to_dot
 from .derivatives import fundamental_decomposition
-from .metric import Config, kleene_descent, pair_count, witness
+from .metric import Config, ExponentValue, distance, kleene_descent, pair_count, separating_word
 from .oracle import brute_distance
 from .proof import (
     DEFAULT_SPOT_CHECKS,
@@ -93,6 +93,10 @@ class RunReport:
         )
 
 
+def _too_deep(exc: RecursionError) -> str:
+    return f"input too deep to process ({exc})"
+
+
 def _parse_discount(text: str) -> Fraction:
     try:
         lam = Fraction(text)
@@ -154,13 +158,10 @@ def cmd_dist(args: argparse.Namespace) -> int:
         alphabet = infer_alphabet(e, f)
     t0 = time.perf_counter()
     aut = build([e, f], alphabet, args.cap)
-    descent = kleene_descent(aut)
     s, t = aut.roots
-    if s == t:
-        dist = Fraction(0)
-    else:
-        dist = descent.table[(min(s, t), max(s, t))].value(cfg.discount)
-    w = witness(e, f, alphabet, args.cap)
+    w = separating_word(aut, s, t)
+    dist = ExponentValue.of_word(w).value(cfg.discount)
+    descent = kleene_descent(aut)
     elapsed = (time.perf_counter() - t0) * 1000
     report = RunReport(
         left=args.left,
@@ -207,8 +208,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.epsilon is not None and args.tight:
         raise RegexError("give either EPS or --tight, not both")
     if args.tight:
-        from .metric import distance
-
         epsilon = distance(e, f, cfg, alphabet, args.cap)
     else:
         epsilon = _parse_eps_arg(args.epsilon)
@@ -294,15 +293,17 @@ def cmd_batch(args: argparse.Namespace) -> int:
             e = parse(left_text, alphabet)
             f = parse(right_text, alphabet)
             row_alpha = alphabet if alphabet is not None else infer_alphabet(e, f)
-            from .metric import distance
-
-            dist = distance(e, f, cfg, row_alpha, args.cap)
-            w = witness(e, f, row_alpha, args.cap)
+            aut = build([e, f], row_alpha, args.cap)
+            w = separating_word(aut, *aut.roots)
+            dist = ExponentValue.of_word(w).value(cfg.discount)
             rows.append(
                 "\t".join([left_text, right_text, str(dist), _render_witness(w), ""])
             )
         except (RegexError, StateLimitExceeded) as exc:
             rows.append("\t".join([left_text, right_text, "-", "-", str(exc)]))
+            failed = True
+        except RecursionError as exc:
+            rows.append("\t".join([left_text, right_text, "-", "-", _too_deep(exc)]))
             failed = True
     out = "\n".join(rows)
     if args.output is not None:
@@ -416,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except StateLimitExceeded as exc:
         print(f"gave up: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except RecursionError as exc:
+        print(f"error: {_too_deep(exc)}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

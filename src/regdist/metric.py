@@ -2,15 +2,19 @@
 
 Distances take the form ``discount ** n`` where ``n`` is the length of a
 shortest word telling two languages apart (0 when no such word exists).
-The fixed point computation works on exponents, which keeps everything both
-exact and independent of the particular discount; rationals only enter when a
-value is extracted.  A parallel rational-valued interface exposes the same
-one-step operator on arbitrary tables for use in tests and experiments.
+Distance and witness both come from one breadth-first walk over the product
+pairs reachable from the root pair (:func:`separating_word`), so they work on
+exponents and stay exact and independent of the particular discount;
+rationals only enter when a value is extracted.
+
+:func:`kleene_descent` is the paper's fixed point reference: it iterates the
+one-step operator over all pairs and backs ``dist --trace`` and the
+``iterations`` count.  A parallel rational-valued interface exposes the same
+operator on arbitrary tables for use in tests and experiments.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -21,6 +25,7 @@ from .automaton import (
     QuotientAutomaton,
     build,
     product_pairs,
+    product_walk,
     state_normal,
 )
 from .derivatives import output, step
@@ -65,6 +70,11 @@ class ExponentValue:
     def scaled(self) -> ExponentValue:
         """Multiplication by one factor of the discount."""
         return self if self.exponent is None else ExponentValue(self.exponent + 1)
+
+    @classmethod
+    def of_word(cls, word: str | None) -> ExponentValue:
+        """The separation carried by a shortest separating word (None: equal)."""
+        return cls(None if word is None else len(word))
 
     def value(self, discount: Fraction) -> Fraction:
         if self.exponent is None:
@@ -122,32 +132,6 @@ def phi(aut: QuotientAutomaton, table: Table) -> Table:
     return out
 
 
-def _separable_pairs(aut: QuotientAutomaton) -> set[tuple[int, int]]:
-    """Pairs from which synchronized steps can reach an output disagreement."""
-    preds: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    frontier: list[tuple[int, int]] = []
-    reached: set[tuple[int, int]] = set()
-    for i, j in _all_pairs(aut.n_states):
-        if aut.outputs[i] != aut.outputs[j]:
-            reached.add((i, j))
-            frontier.append((i, j))
-        for k in range(len(aut.alphabet)):
-            di = aut.transitions[i][k]
-            dj = aut.transitions[j][k]
-            if di == dj:
-                continue
-            preds.setdefault((min(di, dj), max(di, dj)), []).append((i, j))
-    while frontier:
-        nxt: list[tuple[int, int]] = []
-        for p in frontier:
-            for q in preds.get(p, ()):
-                if q not in reached:
-                    reached.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return reached
-
-
 @dataclass(frozen=True)
 class DescentResult:
     """Outcome of the descending fixed point iteration.
@@ -185,9 +169,13 @@ def kleene_descent(aut: QuotientAutomaton) -> DescentResult:
         cur = nxt
     table = dict(trace[-1])
     if not stationary:
-        separable = _separable_pairs(aut)
+        # The cut-off exponent alone marks the pairs that never separate: an
+        # inseparable pair holds None or exactly the iteration count, while a
+        # separable pair has settled at its true exponent, which is at most
+        # cap - 1 because its shortest separating word visits distinct
+        # off-diagonal pairs.
         for p, ev in table.items():
-            if ev.exponent == iterations and p not in separable:
+            if ev.exponent == iterations:
                 table[p] = DIST_ZERO
     return DescentResult(table=table, trace=tuple(trace), iterations=iterations)
 
@@ -197,13 +185,21 @@ def table_values(table: Table, cfg: Config) -> RationalTable:
     return {p: ev.value(cfg.discount) for p, ev in table.items()}
 
 
+def separating_word(aut: QuotientAutomaton, s: int, t: int) -> str | None:
+    """A shortest word on which states ``s`` and ``t`` disagree, or None.
+
+    Among shortest candidates the least in alphabet order is returned; the
+    empty word is reported as ``""``.
+    """
+    for (u, v), word in product_walk(aut, s, t):
+        if aut.outputs[u] != aut.outputs[v]:
+            return word
+    return None
+
+
 def separation(e: Regex, f: Regex, alphabet: Alphabet | None = None, cap: int = DEFAULT_STATE_CAP) -> ExponentValue:
     """Exponent form of the distance between two expressions."""
-    aut = build([e, f], alphabet, cap)
-    s, t = aut.roots
-    if s == t:
-        return DIST_ZERO
-    return kleene_descent(aut).table[(min(s, t), max(s, t))]
+    return ExponentValue.of_word(witness(e, f, alphabet, cap))
 
 
 def distance(
@@ -230,28 +226,7 @@ def witness(
     order) is returned; the empty word is reported as ``""``.
     """
     aut = build([e, f], alphabet, cap)
-    s, t = aut.roots
-    if s == t:
-        return None
-    if aut.outputs[s] != aut.outputs[t]:
-        return ""
-    queue: deque[tuple[tuple[int, int], str]] = deque([((min(s, t), max(s, t)), "")])
-    seen = {(min(s, t), max(s, t))}
-    while queue:
-        (u, v), word = queue.popleft()
-        for k, letter in enumerate(aut.alphabet):
-            du = aut.transitions[u][k]
-            dv = aut.transitions[v][k]
-            if du == dv:
-                continue
-            pair = (min(du, dv), max(du, dv))
-            if pair in seen:
-                continue
-            if aut.outputs[du] != aut.outputs[dv]:
-                return word + letter
-            seen.add(pair)
-            queue.append((pair, word + letter))
-    return None
+    return separating_word(aut, *aut.roots)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from .automaton import DEFAULT_STATE_CAP, build, state_normal, unit_normalize
 from .derivatives import fundamental_decomposition, output, output_bit, step
-from .metric import Config, ExponentValue, kleene_descent, witness
+from .metric import Config, ExponentValue, separating_word
 from .syntax import (
     Alphabet,
     Letter,
@@ -1222,18 +1222,14 @@ class SynthesisFailure(Exception):
 
 
 class _ProofContext:
-    """Shared automaton, fixed point, and memo tables for one expression pair."""
+    """Shared automaton, root separation, and memo tables for one expression pair."""
 
     def __init__(self, e: Regex, f: Regex, cfg: Config, alphabet: Alphabet, cap: int):
         self.cfg = cfg
         self.alphabet = alphabet
         self.aut = build([e, f], alphabet, cap)
-        self.descent = kleene_descent(self.aut)
-        s, t = self.aut.roots
-        if s == t:
-            self.root_separation = ExponentValue(None)
-        else:
-            self.root_separation = self.descent.table[(min(s, t), max(s, t))]
+        self.witness = separating_word(self.aut, *self.aut.roots)
+        self.root_separation = ExponentValue.of_word(self.witness)
         self._pair_memo: dict[tuple[int, int, int], Derivation] = {}
         self._bridge_memo: dict[tuple[int, int], Derivation] = {}
 
@@ -1373,5 +1369,5 @@ def synthesize(
     assert sep.exponent is not None
     dist = sep.value(cfg.discount)
     if epsilon < dist:
-        raise SynthesisFailure(dist, sep, witness(e, f, alphabet, cap))
+        raise SynthesisFailure(dist, sep, ctx.witness)
     return Certificate(cfg, weaken_to(ctx.root_proof(e, f, sep.exponent), epsilon))

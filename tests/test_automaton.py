@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from regdist.automaton import (
     StateLimitExceeded,
     build,
     product_pairs,
+    product_walk,
     state_key,
     state_normal,
     to_dot,
@@ -116,6 +118,43 @@ def test_product_pairs_walk_in_discovery_order():
 def test_product_pairs_are_unordered():
     aut = build([Star(A), Sum(A, One())], ("a",))
     assert product_pairs(aut, 1, 0) == ((0, 1), (0, 2), (0, 3))
+
+
+def _follow(aut, s, t, word):
+    for letter in word:
+        s, t = aut.delta(s, letter), aut.delta(t, letter)
+    return (min(s, t), max(s, t))
+
+
+def _check_walk(aut, s, t):
+    walked = list(product_walk(aut, s, t))
+    assert tuple(pair for pair, _ in walked) == product_pairs(aut, s, t)
+    for pair, word in walked:
+        assert _follow(aut, s, t, word) == pair
+    keys = [(len(word), [aut.alphabet.index(c) for c in word]) for _, word in walked]
+    assert keys == sorted(keys)
+    # each word is the least one reaching its pair: enumerate in the same order
+    least: dict[tuple[int, int], str] = {}
+    for n in range(max(len(word) for _, word in walked) + 1):
+        for letters in itertools.product(aut.alphabet, repeat=n):
+            least.setdefault(_follow(aut, s, t, letters), "".join(letters))
+    assert dict(walked) == least
+
+
+def test_product_walk_yields_each_pair_with_its_least_word():
+    aut = build([Star(A), Sum(A, One())], ("a",))
+    assert list(product_walk(aut, 0, 1)) == [((0, 1), ""), ((0, 2), "a"), ((0, 3), "aa")]
+    _check_walk(aut, 1, 0)
+    _check_walk(aut, 2, 2)
+    aut = build([parse("(a+b)*"), parse("(a*;b*)*"), parse("a;b + b;a")], ("a", "b"))
+    for s, t in itertools.combinations_with_replacement(range(aut.n_states), 2):
+        _check_walk(aut, s, t)
+
+
+def test_product_walk_on_corpus_pairs(corpus):
+    for pair in corpus[:25]:
+        aut = build([pair.left, pair.right], pair.alphabet)
+        _check_walk(aut, *aut.roots)
 
 
 def test_dot_export():

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import regdist
 from regdist.cli import main
 from regdist.proof import from_json
 
@@ -11,6 +15,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """Run the CLI as its own process, so a stray traceback reaches stderr."""
+    src = os.path.dirname(os.path.dirname(regdist.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "regdist.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 def test_dist_text_report(capsys):
@@ -88,6 +105,26 @@ def test_bad_input_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+def test_dist_on_a_very_long_word_exits_2_without_a_traceback():
+    proc = run_process("dist", "a" * 500, "b")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_of_a_deep_descent_instance_exits_2_without_a_traceback(capsys, tmp_path):
+    code, cert_text, _ = run(capsys, "prove", "a*", "a*;a*", "0")
+    assert code == 0
+    doc = json.loads(cert_text)
+    doc["root"]["meta"]["spot_indices"] = [2000]
+    target = tmp_path / "deep.json"
+    target.write_text(json.dumps(doc))
+    proc = run_process("check", str(target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_prove_writes_a_checkable_certificate(capsys, tmp_path):
@@ -185,13 +222,18 @@ def test_batch_table(capsys, monkeypatch):
 
 
 def test_batch_keeps_going_past_bad_rows(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("a*\ta+1\na(\tb\nno tabs here\n"))
+    deep = "a" * 2000
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO(f"a*\ta+1\na(\tb\nno tabs here\n{deep}\tb\na\tb\n")
+    )
     code, out, _ = run(capsys, "batch", "-")
     assert code == 1
     lines = out.splitlines()
     assert lines[0] == "a*\ta+1\t1/4\taa\t"
     assert lines[1].split("\t")[2] == "-" and lines[1].split("\t")[4]
     assert "two tab-separated expressions" in lines[2]
+    assert lines[3].split("\t")[2:4] == ["-", "-"] and "too deep" in lines[3]
+    assert lines[4] == "a\tb\t1/2\ta\t"
 
 
 def test_batch_empty_input(capsys, monkeypatch):

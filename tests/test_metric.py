@@ -193,3 +193,8 @@ def test_metric_against_oracle_sample(corpus):
         got = distance(pair.left, pair.right, None, pair.alphabet)
         want = brute_distance(pair.left, pair.right, pair.alphabet, pair.bound, HALF)
         assert got == want
+        # the all-pairs fixed point agrees with the walk at the root pair
+        aut = build([pair.left, pair.right], pair.alphabet)
+        s, t = aut.roots
+        reference = DIST_ZERO if s == t else kleene_descent(aut).table[(min(s, t), max(s, t))]
+        assert reference == separation(pair.left, pair.right, pair.alphabet)
