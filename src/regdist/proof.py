@@ -2,8 +2,10 @@
 
 A derivation concludes a judgement ``left = right within eps``: the distance
 between the two languages is at most ``eps``.  Leaves are axiom instances,
-inner nodes apply deduction rules, and a checker revalidates every node
-against the rule's side conditions, so a certificate stands on its own.
+inner nodes apply deduction rules, and a certificate stands on its own.  The
+node constructors are the kernel: each states its rule's shape and side
+condition once, and the checker validates a node by rebuilding it from its
+premises with that same constructor and comparing the results.
 Infinitary arguments are packaged as named templates: the document names a
 generator and parameters, and the checker re-derives and checks finite
 instances in process rather than trusting anything embedded in the document.
@@ -15,7 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable
 
 from .automaton import DEFAULT_STATE_CAP, build, state_normal, unit_normalize
@@ -356,17 +358,21 @@ def to_json(cert: Certificate, indent: int | None = 2) -> str:
     return json.dumps(serialize(cert), indent=indent)
 
 
-def _parse_expr(text: object, what: str) -> Regex:
+def _parse_expr(text: object, what: str, parsed: dict[str, Regex]) -> Regex:
+    """Parse ``text``, sharing one object among equal strings in ``parsed``."""
     if not isinstance(text, str):
         raise CertificateError(f"{what} must be a string, got {type(text).__name__}")
-    try:
-        return parse(text)
-    except RegexError as exc:
-        raise CertificateError(f"bad {what}: {exc}") from exc
+    got = parsed.get(text)
+    if got is None:
+        try:
+            got = parsed[text] = parse(text)
+        except RegexError as exc:
+            raise CertificateError(f"bad {what}: {exc}") from exc
+    return got
 
 
 def _parse_eps(text: object, what: str) -> Fraction:
-    if not isinstance(text, (str, int)):
+    if not isinstance(text, (str, int)) or isinstance(text, bool):
         raise CertificateError(f"{what} must be a string, got {type(text).__name__}")
     try:
         value = Fraction(text)
@@ -377,39 +383,39 @@ def _parse_eps(text: object, what: str) -> Fraction:
     return value
 
 
-def _judgement_from_dict(d: object, what: str) -> Judgement:
+def _judgement_from_dict(d: object, what: str, parsed: dict[str, Regex]) -> Judgement:
     if not isinstance(d, dict):
         raise CertificateError(f"{what} must be an object")
     missing = {"left", "right", "eps"} - d.keys()
     if missing:
         raise CertificateError(f"{what} lacks {sorted(missing)}")
     return Judgement(
-        _parse_expr(d["left"], f"{what} left side"),
-        _parse_expr(d["right"], f"{what} right side"),
+        _parse_expr(d["left"], f"{what} left side", parsed),
+        _parse_expr(d["right"], f"{what} right side", parsed),
         _parse_eps(d["eps"], f"{what} bound"),
     )
 
 
-def _node_from_dict(d: object, path: str) -> Derivation:
+def _node_from_dict(d: object, path: str, parsed: dict[str, Regex]) -> Derivation:
     if not isinstance(d, dict):
         raise CertificateError(f"node {path} must be an object")
     try:
         rule = Rule(d.get("rule"))
     except ValueError:
         raise CertificateError(f"node {path}: unknown rule tag {d.get('rule')!r}") from None
-    concl = _judgement_from_dict(d.get("conclusion"), f"node {path} conclusion")
+    concl = _judgement_from_dict(d.get("conclusion"), f"node {path} conclusion", parsed)
     raw_premises = d.get("premises", [])
     if not isinstance(raw_premises, list):
         raise CertificateError(f"node {path}: premises must be a list")
     premises = tuple(
-        _node_from_dict(p, f"{path}/{i}") for i, p in enumerate(raw_premises)
+        _node_from_dict(p, f"{path}/{i}", parsed) for i, p in enumerate(raw_premises)
     )
     raw_meta = d.get("meta", {})
     if not isinstance(raw_meta, dict):
         raise CertificateError(f"node {path}: meta must be an object")
     midpoint = None
     if "midpoint" in raw_meta:
-        midpoint = _parse_expr(raw_meta["midpoint"], f"node {path} midpoint")
+        midpoint = _parse_expr(raw_meta["midpoint"], f"node {path} midpoint", parsed)
     letter = None
     if "letter" in raw_meta:
         letter = raw_meta["letter"]
@@ -430,7 +436,7 @@ def _node_from_dict(d: object, path: str) -> Derivation:
         params = tuple(sorted(raw_params.items()))
         raw_spots = raw_meta.get("spot_indices", [])
         if not isinstance(raw_spots, list) or not all(
-            isinstance(i, int) and i >= 0 for i in raw_spots
+            isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in raw_spots
         ):
             raise CertificateError(f"node {path}: spot_indices must be nonnegative integers")
         spots = tuple(raw_spots)
@@ -456,12 +462,13 @@ def deserialize(doc: object) -> Certificate:
     raw_hyps = doc.get("hypotheses", [])
     if not isinstance(raw_hyps, list):
         raise CertificateError("hypotheses must be a list")
+    parsed: dict[str, Regex] = {}
     hyps = tuple(
-        _judgement_from_dict(h, f"hypothesis {i}") for i, h in enumerate(raw_hyps)
+        _judgement_from_dict(h, f"hypothesis {i}", parsed) for i, h in enumerate(raw_hyps)
     )
     if "root" not in doc:
         raise CertificateError("certificate lacks a root derivation")
-    root = _node_from_dict(doc["root"], "root")
+    root = _node_from_dict(doc["root"], "root", parsed)
     return Certificate(config=cfg, root=root, hypotheses=hyps)
 
 
@@ -481,119 +488,57 @@ def _fail(rule: Rule, path: tuple[int, ...], reason: str) -> CheckError:
     return CheckError(rule.value, path, reason)
 
 
-def _check_axiom_shape(d: Derivation, path: tuple[int, ...]) -> CheckError | None:
-    j = d.conclusion
-    l, r = j.left, j.right
-    ok: bool
-    match d.rule:
-        case Rule.SL1:
-            ok = isinstance(l, Sum) and l.left == l.right == r
-        case Rule.SL2:
-            ok = (
-                isinstance(l, Sum)
-                and isinstance(r, Sum)
-                and l.left == r.right
-                and l.right == r.left
-            )
-        case Rule.SL3:
-            ok = (
-                isinstance(l, Sum)
-                and isinstance(l.left, Sum)
-                and isinstance(r, Sum)
-                and isinstance(r.right, Sum)
-                and l.left.left == r.left
-                and l.left.right == r.right.left
-                and l.right == r.right.right
-            )
-        case Rule.SL4:
-            ok = isinstance(l, Sum) and l.right == Zero() and l.left == r
-        case Rule.ONE_S:
-            ok = isinstance(l, Seq) and l.left == One() and l.right == r
-        case Rule.S:
-            ok = (
-                isinstance(l, Seq)
-                and isinstance(l.right, Seq)
-                and isinstance(r, Seq)
-                and isinstance(r.left, Seq)
-                and l.left == r.left.left
-                and l.right.left == r.left.right
-                and l.right.right == r.right
-            )
-        case Rule.S1:
-            ok = isinstance(l, Seq) and l.right == One() and l.left == r
-        case Rule.ZERO_S:
-            ok = isinstance(l, Seq) and l.left == Zero() and r == Zero()
-        case Rule.S0:
-            ok = isinstance(l, Seq) and l.right == Zero() and r == Zero()
-        case Rule.D1:
-            ok = (
-                isinstance(l, Seq)
-                and isinstance(l.right, Sum)
-                and isinstance(r, Sum)
-                and isinstance(r.left, Seq)
-                and isinstance(r.right, Seq)
-                and r.left.left == l.left
-                and r.right.left == l.left
-                and r.left.right == l.right.left
-                and r.right.right == l.right.right
-            )
-        case Rule.D2:
-            ok = (
-                isinstance(l, Seq)
-                and isinstance(l.left, Sum)
-                and isinstance(r, Sum)
-                and isinstance(r.left, Seq)
-                and isinstance(r.right, Seq)
-                and r.left.right == l.right
-                and r.right.right == l.right
-                and r.left.left == l.left.left
-                and r.right.left == l.left.right
-            )
-        case Rule.UNROLL:
-            ok = (
-                isinstance(l, Star)
-                and isinstance(r, Sum)
-                and r.right == One()
-                and isinstance(r.left, Seq)
-                and r.left.left == l.body
-                and r.left.right == l
-            )
-        case Rule.TIGHT:
-            ok = (
-                isinstance(l, Star)
-                and isinstance(l.body, Sum)
-                and l.body.right == One()
-                and isinstance(r, Star)
-                and r.body == l.body.left
-            )
-        case _:
-            return _fail(d.rule, path, "not an axiom")
-    if not ok:
-        return _fail(
-            d.rule, path, f"sides do not fit: {pretty(l)} vs {pretty(r)}"
-        )
-    if d.premises:
-        return _fail(d.rule, path, "axioms take no premises")
-    if j.eps != 0:
-        return _fail(d.rule, path, f"axioms conclude at bound 0, got {j.eps}")
-    return None
-
-
-_AXIOM_RULES = {
-    Rule.SL1,
-    Rule.SL2,
-    Rule.SL3,
-    Rule.SL4,
-    Rule.ONE_S,
-    Rule.S,
-    Rule.S1,
-    Rule.ZERO_S,
-    Rule.S0,
-    Rule.D1,
-    Rule.D2,
-    Rule.UNROLL,
-    Rule.TIGHT,
+# Each axiom rebuilt from the pattern variables read off its left side.
+_AXIOMS: dict[Rule, Callable[[Regex], Derivation]] = {
+    Rule.SL1: lambda l: sl1(l.left),
+    Rule.SL2: lambda l: sl2(l.left, l.right),
+    Rule.SL3: lambda l: sl3(l.left.left, l.left.right, l.right),
+    Rule.SL4: lambda l: sl4(l.left),
+    Rule.ONE_S: lambda l: one_s(l.right),
+    Rule.S: lambda l: s_assoc(l.left, l.right.left, l.right.right),
+    Rule.S1: lambda l: s_one(l.left),
+    Rule.ZERO_S: lambda l: zero_s(l.right),
+    Rule.S0: lambda l: s_zero(l.left),
+    Rule.D1: lambda l: d1(l.left, l.right.left, l.right.right),
+    Rule.D2: lambda l: d2(l.left.left, l.left.right, l.right),
+    Rule.UNROLL: lambda l: unroll(l.body),
+    Rule.TIGHT: lambda l: tight(l.body.left),
 }
+
+
+def _replay(d: Derivation, cfg: Config) -> Derivation:
+    """``d`` rebuilt from its premises by its rule's own constructor.
+
+    Raises ProofError when the rule does not apply to the premises.
+    """
+    ps = d.premises
+    match d.rule, d.left, len(ps):
+        case Rule.REFL, _, 0:
+            return refl(d.left)
+        case Rule.SYMM, _, 1:
+            return symm(*ps)
+        case Rule.TRIANG, _, 2:
+            return triang(*ps)
+        case Rule.MAX, _, 1:
+            return weaken(*ps, d.eps)
+        case Rule.SL5, _, 2:
+            return sl5(*ps)
+        case Rule.TOP, _, 0:
+            return top_rule(d.left, d.right)
+        case Rule.NPREF, _, 1:
+            return npref(*ps, d.meta.letter, cfg, d.eps)
+        case Rule.NEXP, Sum(), 2:
+            return sum_cong(*ps)
+        case Rule.NEXP, Seq(), 2:
+            return seq_cong(*ps)
+        case Rule.NEXP, Star(), 1:
+            return star_cong(*ps)
+        case rule, left, 0 if rule in _AXIOMS:
+            try:
+                return _AXIOMS[rule](left)
+            except AttributeError:  # a pattern variable is missing
+                raise ProofError(f"left side {pretty(left)} does not fit the axiom") from None
+    raise ProofError(f"wrong number of premises ({len(ps)})")
 
 
 def _check_node(
@@ -602,84 +547,16 @@ def _check_node(
     cfg: Config,
     hyps: frozenset[Judgement],
 ) -> CheckError | None:
-    """Local validity of one node, given its premises' conclusions."""
+    """Local validity of one node, given its premises' conclusions: the node
+    must be what its rule's constructor rebuilds from those premises."""
     j = d.conclusion
-    if not isinstance(j.eps, Fraction) or j.eps < 0:
-        return _fail(d.rule, path, f"bad bound {j.eps!r}")
-    if d.rule in _AXIOM_RULES:
-        return _check_axiom_shape(d, path)
     match d.rule:
-        case Rule.REFL:
-            if d.premises or j.left != j.right or j.eps != 0:
-                return _fail(d.rule, path, "must conclude e = e at bound 0")
-        case Rule.SYMM:
-            if len(d.premises) != 1:
-                return _fail(d.rule, path, "takes one premise")
-            if d.premises[0].conclusion != j.flipped():
-                return _fail(d.rule, path, "premise is not the mirrored judgement")
-        case Rule.TRIANG:
-            if len(d.premises) != 2:
-                return _fail(d.rule, path, "takes two premises")
-            m = d.meta.midpoint
-            if m is None:
-                return _fail(d.rule, path, "midpoint not recorded")
-            p1, p2 = (p.conclusion for p in d.premises)
-            if p1.left != j.left or p1.right != m:
-                return _fail(d.rule, path, "first premise does not reach the midpoint")
-            if p2.left != m or p2.right != j.right:
-                return _fail(d.rule, path, "second premise does not leave the midpoint")
-            if j.eps != p1.eps + p2.eps:
-                return _fail(d.rule, path, f"bound {j.eps} is not {p1.eps} + {p2.eps}")
-        case Rule.MAX:
-            if len(d.premises) != 1:
-                return _fail(d.rule, path, "takes one premise")
-            p = d.premises[0].conclusion
-            if p.left != j.left or p.right != j.right:
-                return _fail(d.rule, path, "premise proves different sides")
-            if not j.eps > p.eps:
-                return _fail(d.rule, path, f"bound must strictly grow: {p.eps} -> {j.eps}")
-        case Rule.SL5:
-            if len(d.premises) != 2:
-                return _fail(d.rule, path, "takes two premises")
-            p1, p2 = (p.conclusion for p in d.premises)
-            if not (isinstance(j.left, Sum) and isinstance(j.right, Sum)):
-                return _fail(d.rule, path, "conclusion sides must be sums")
-            if (
-                p1.left != j.left.left
-                or p2.left != j.left.right
-                or p1.right != j.right.left
-                or p2.right != j.right.right
-            ):
-                return _fail(d.rule, path, "premises do not match the summands")
-            if j.eps != max(p1.eps, p2.eps):
-                return _fail(d.rule, path, f"bound {j.eps} is not max({p1.eps}, {p2.eps})")
-        case Rule.NEXP:
-            err = _check_nexp(d, path)
-            if err is not None:
-                return err
-        case Rule.TOP:
-            if d.premises or j.eps != 1:
-                return _fail(d.rule, path, "concludes any sides at bound exactly 1")
-        case Rule.NPREF:
-            if len(d.premises) != 1:
-                return _fail(d.rule, path, "takes one premise")
-            a = d.meta.letter
-            if a is None:
-                return _fail(d.rule, path, "letter not recorded")
-            p = d.premises[0].conclusion
-            want_l = Seq(Letter(a), p.left)
-            want_r = Seq(Letter(a), p.right)
-            if j.left != want_l or j.right != want_r:
-                return _fail(d.rule, path, f"conclusion must prefix both sides with {a!r}")
-            if j.eps < cfg.discount * p.eps:
-                return _fail(
-                    d.rule, path, f"bound {j.eps} below {cfg.discount} * {p.eps}"
-                )
         case Rule.HYPOTHESIS:
             if d.premises:
                 return _fail(d.rule, path, "takes no premises")
             if j not in hyps:
                 return _fail(d.rule, path, "judgement is not among the hypotheses")
+            return None
         case Rule.CONT_TEMPLATE:
             if d.premises:
                 return _fail(d.rule, path, "takes no premises")
@@ -687,46 +564,20 @@ def _check_node(
                 return _fail(d.rule, path, "templates conclude at bound 0")
             if d.meta.schema not in TEMPLATE_SCHEMAS:
                 return _fail(d.rule, path, f"unknown schema {d.meta.schema!r}")
-        case _:
-            return _fail(d.rule, path, "unhandled rule")
+            return None
+        case Rule.NEXP if not d.premises and isinstance(j.left, (Zero, One, Letter)):
+            return None if j.left == j.right else _fail(d.rule, path, "constant sides differ")
+    try:
+        want = _replay(d, cfg)
+    except ProofError as exc:
+        return _fail(d.rule, path, str(exc))
+    if (want.left, want.right) != (j.left, j.right):
+        return _fail(d.rule, path, f"sides do not fit: {pretty(j.left)} vs {pretty(j.right)}")
+    if want.eps != j.eps:
+        return _fail(d.rule, path, f"bound {j.eps} is not {want.eps}")
+    if d.rule is Rule.TRIANG and want.meta.midpoint != d.meta.midpoint:
+        return _fail(d.rule, path, "recorded midpoint is not the premises' meeting point")
     return None
-
-
-def _check_nexp(d: Derivation, path: tuple[int, ...]) -> CheckError | None:
-    j = d.conclusion
-    l, r = j.left, j.right
-    if type(l) is not type(r):
-        return _fail(d.rule, path, "sides use different constructors")
-    match l:
-        case Zero() | One() | Letter(_):
-            if l != r:
-                return _fail(d.rule, path, "constant sides differ")
-            if d.premises:
-                return _fail(d.rule, path, "constants take no premises")
-            return None
-        case Sum(_, _) | Seq(_, _):
-            if len(d.premises) != 2:
-                return _fail(d.rule, path, "binary constructors take two premises")
-            p1, p2 = (p.conclusion for p in d.premises)
-            assert isinstance(r, (Sum, Seq))
-            if p1.left != l.left or p1.right != r.left:
-                return _fail(d.rule, path, "first premise does not relate the left parts")
-            if p2.left != l.right or p2.right != r.right:
-                return _fail(d.rule, path, "second premise does not relate the right parts")
-            if p1.eps != j.eps or p2.eps != j.eps:
-                return _fail(d.rule, path, "premise bounds must equal the conclusion bound")
-            return None
-        case Star(_):
-            if len(d.premises) != 1:
-                return _fail(d.rule, path, "iteration takes one premise")
-            p = d.premises[0].conclusion
-            assert isinstance(r, Star)
-            if p.left != l.body or p.right != r.body:
-                return _fail(d.rule, path, "premise does not relate the bodies")
-            if p.eps != j.eps:
-                return _fail(d.rule, path, "premise bound must equal the conclusion bound")
-            return None
-    return _fail(d.rule, path, "sides are not expressions")
 
 
 def diagnose(
@@ -953,23 +804,14 @@ def _dist_right(e: Regex, g: Regex) -> Derivation:
     )
 
 
-def _fold_cong(slot_proofs: list[Derivation], tail: Derivation) -> Derivation:
-    """Congruence over a left-folded sum of slots with a trailing element."""
-    if not slot_proofs:
-        return tail
-    acc = slot_proofs[0]
-    for sp in slot_proofs[1:]:
-        acc = sum_cong(acc, sp)
-    return sum_cong(acc, tail)
-
-
-def _fold_sl5(slot_proofs: list[Derivation], tail: Derivation) -> Derivation:
-    if not slot_proofs:
-        return tail
-    acc = slot_proofs[0]
-    for sp in slot_proofs[1:]:
-        acc = sl5(acc, sp)
-    return sl5(acc, tail)
+def _fold(
+    combine: Callable[[Derivation, Derivation], Derivation],
+    slots: list[Derivation],
+    tail: Derivation,
+) -> Derivation:
+    """``combine`` (``sum_cong`` or ``sl5``) over a left-folded sum of slots
+    with a trailing element."""
+    return reduce(combine, [*slots, tail])
 
 
 @lru_cache(maxsize=4096)
@@ -986,7 +828,7 @@ def normal_form_proof(e: Regex, alphabet: Alphabet) -> Derivation:
                 da = step(e, a)
                 term = s_one(Letter(a)) if da == One() else s_zero(Letter(a))
                 term_proofs.append(term)
-            folded = _fold_sl5(term_proofs, refl(output_bit(e)))
+            folded = _fold(sl5, term_proofs, refl(output_bit(e)))
             collapse = unit_collapse(folded.right)
             assert collapse.right == e
             return symm(_chain(folded, collapse))
@@ -1000,7 +842,7 @@ def normal_form_proof(e: Regex, alphabet: Alphabet) -> Derivation:
                 bit_proof = sl4(bf)
             else:
                 bit_proof = _chain(sl2(Zero(), One()), sl4(One()))
-            slots = _fold_cong(slot_proofs, bit_proof)
+            slots = _fold(sum_cong, slot_proofs, bit_proof)
             return _chain(base, aci_bridge(base.right, slots.left), slots)
         case Seq(f, g):
             return _seq_normal_form(f, g, alphabet, target)
@@ -1015,7 +857,7 @@ def _seq_normal_form(f: Regex, g: Regex, alphabet: Alphabet, target: Regex) -> D
     reassoc = [symm(s_assoc(Letter(a), step(f, a), g)) for a in alphabet]
     if output(f) == 0:
         tail = zero_s(g)
-        shaped = _fold_cong(reassoc, tail)
+        shaped = _fold(sum_cong, reassoc, tail)
         slot_bridges = []
         for a in alphabet:
             fa_g = Seq(step(f, a), g)
@@ -1024,11 +866,11 @@ def _seq_normal_form(f: Regex, g: Regex, alphabet: Alphabet, target: Regex) -> D
                 sum_cong(refl(fa_g), symm(zero_s(step(g, a)))),
             )
             slot_bridges.append(seq_cong(refl(Letter(a)), widen))
-        final = _fold_cong(slot_bridges, refl(output_bit(Seq(f, g))))
+        final = _fold(sum_cong, slot_bridges, refl(output_bit(Seq(f, g))))
         out = _chain(base, dist, shaped, final)
     else:
         tail = _chain(one_s(g), normal_form_proof(g, alphabet))
-        shaped = _fold_cong(reassoc, tail)
+        shaped = _fold(sum_cong, reassoc, tail)
         slot_merges = []
         for a in alphabet:
             fa_g = Seq(step(f, a), g)
@@ -1039,7 +881,7 @@ def _seq_normal_form(f: Regex, g: Regex, alphabet: Alphabet, target: Regex) -> D
             )
             merge = symm(d1(Letter(a), fa_g, Seq(One(), ga)))
             slot_merges.append(_chain(lift, merge))
-        final = _fold_cong(slot_merges, refl(output_bit(g)))
+        final = _fold(sum_cong, slot_merges, refl(output_bit(g)))
         out = _chain(
             base, dist, shaped, aci_bridge(shaped.right, final.left), final
         )
@@ -1079,7 +921,7 @@ def _star_normal_form(f: Regex, alphabet: Alphabet) -> Derivation:
     c3 = sum_cong(seq_cong(refl(W), symm(c1)), refl(One()))
     c4 = sum_cong(_dist_right(W, e), refl(One()))
     reassoc = [symm(s_assoc(Letter(a), step(f, a), e)) for a in alphabet]
-    c5 = _fold_cong(reassoc, refl(One()))
+    c5 = _fold(sum_cong, reassoc, refl(One()))
     out = _chain(c1, c2, c3, c4, c5)
     assert out.right == fundamental_decomposition(e, alphabet)
     return out
@@ -1268,7 +1110,7 @@ class _ProofContext:
             sub = self._pair_proof(aut.transitions[i][k], aut.transitions[j][k], n - 1)
             premise = _chain(bg, sub, symm(bh))
             slots.append(npref(premise, a, self.cfg))
-        folded = _fold_sl5(slots, refl(output_bit(g)))
+        folded = _fold(sl5, slots, refl(output_bit(g)))
         nf_g = normal_form_proof(g, self.alphabet)
         nf_h = normal_form_proof(h, self.alphabet)
         return _chain(nf_g, folded, symm(nf_h))

@@ -207,6 +207,13 @@ def test_check_malformed_documents_exit_2(capsys, tmp_path, monkeypatch):
     assert code == 2
     code, _, err = run(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 2
+    # a JSON boolean is not a bound, although Python counts it as an int
+    run(capsys, "prove", "a*", "a+1", "1", "-o", str(target))
+    doc = json.loads(target.read_text())
+    doc["root"]["conclusion"]["eps"] = True
+    target.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(target))
+    assert code == 2
 
 
 def test_batch_table(capsys, monkeypatch):

@@ -320,6 +320,83 @@ def test_descent_template_rejects_mismatched_params():
     assert diagnose(node, CFG) is not None
 
 
+_TOP_AB = Derivation(Rule.TOP, Judgement(A, B, 1))
+_REFL_ONE = Derivation(Rule.REFL, Judgement(One(), One(), 0))
+
+
+def _node(rule, left, right, eps=0, premises=()):
+    return Derivation(rule, Judgement(left, right, eps), premises)
+
+
+# (valid node written out literally, the same node with one wrong subterm)
+LITERAL_NODES = {
+    Rule.SL1: (_node(Rule.SL1, Sum(A, A), A), _node(Rule.SL1, Sum(A, B), A)),
+    Rule.SL2: (
+        _node(Rule.SL2, Sum(A, B), Sum(B, A)),
+        _node(Rule.SL2, Sum(A, B), Sum(B, B)),
+    ),
+    Rule.SL3: (
+        _node(Rule.SL3, Sum(Sum(A, B), One()), Sum(A, Sum(B, One()))),
+        _node(Rule.SL3, Sum(Sum(A, B), One()), Sum(A, Sum(One(), B))),
+    ),
+    Rule.SL4: (_node(Rule.SL4, Sum(A, Zero()), A), _node(Rule.SL4, Sum(A, One()), A)),
+    Rule.ONE_S: (_node(Rule.ONE_S, Seq(One(), A), A), _node(Rule.ONE_S, Seq(Zero(), A), A)),
+    Rule.S: (
+        _node(Rule.S, Seq(A, Seq(B, One())), Seq(Seq(A, B), One())),
+        _node(Rule.S, Seq(A, Seq(B, One())), Seq(Seq(B, A), One())),
+    ),
+    Rule.S1: (_node(Rule.S1, Seq(A, One()), A), _node(Rule.S1, Seq(A, One()), B)),
+    Rule.ZERO_S: (
+        _node(Rule.ZERO_S, Seq(Zero(), A), Zero()),
+        _node(Rule.ZERO_S, Seq(Zero(), A), A),
+    ),
+    Rule.S0: (_node(Rule.S0, Seq(A, Zero()), Zero()), _node(Rule.S0, Seq(A, One()), Zero())),
+    Rule.D1: (
+        _node(Rule.D1, Seq(A, Sum(B, One())), Sum(Seq(A, B), Seq(A, One()))),
+        _node(Rule.D1, Seq(A, Sum(B, One())), Sum(Seq(A, B), Seq(B, One()))),
+    ),
+    Rule.D2: (
+        _node(Rule.D2, Seq(Sum(A, B), One()), Sum(Seq(A, One()), Seq(B, One()))),
+        _node(Rule.D2, Seq(Sum(A, B), One()), Sum(Seq(A, One()), Seq(B, A))),
+    ),
+    Rule.UNROLL: (
+        _node(Rule.UNROLL, Star(A), Sum(Seq(A, Star(A)), One())),
+        _node(Rule.UNROLL, Star(A), Sum(Seq(A, Star(B)), One())),
+    ),
+    Rule.TIGHT: (
+        _node(Rule.TIGHT, Star(Sum(A, One())), Star(A)),
+        _node(Rule.TIGHT, Star(Sum(A, Zero())), Star(A)),
+    ),
+    Rule.REFL: (_node(Rule.REFL, A, A), _node(Rule.REFL, A, B)),
+    Rule.SYMM: (
+        _node(Rule.SYMM, B, A, 1, (_TOP_AB,)),
+        _node(Rule.SYMM, A, B, 1, (_TOP_AB,)),
+    ),
+    # Top relates any two sides, so its wrong node carries a premise instead
+    Rule.TOP: (_node(Rule.TOP, A, B, 1), _node(Rule.TOP, A, B, 1, (_REFL_ONE,))),
+    Rule.SL5: (
+        _node(Rule.SL5, Sum(A, One()), Sum(B, One()), 1, (_TOP_AB, _REFL_ONE)),
+        _node(Rule.SL5, Sum(B, One()), Sum(B, One()), 1, (_TOP_AB, _REFL_ONE)),
+    ),
+    Rule.NEXP: (
+        _node(Rule.NEXP, Star(A), Star(B), 1, (_TOP_AB,)),
+        _node(Rule.NEXP, Star(A), Star(A), 1, (_TOP_AB,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(LITERAL_NODES), ids=lambda r: r.value)
+def test_checker_judges_literal_nodes_of_each_rule(rule):
+    good, wrong_subterm = LITERAL_NODES[rule]
+    assert diagnose(good, CFG) is None
+    j = good.conclusion
+    wrong_bound = Derivation(rule, Judgement(j.left, j.right, j.eps + Fraction(1, 2)), good.premises)
+    for bad in (wrong_subterm, wrong_bound):
+        err = diagnose(bad, CFG)
+        assert err is not None, bad
+        assert (err.rule, err.path) == (rule.value, ())
+
+
 def test_check_error_reads_as_a_location():
     bad = Derivation(Rule.SL1, Judgement(Sum(A, A), B, 0))
     wrapped = Derivation(
@@ -357,6 +434,20 @@ def test_serialize_records_hypotheses():
     assert check_certificate(cert)
 
 
+def _descent_root(spot_indices):
+    """A written ``descent`` template node for ``a* = a*;a*``."""
+    return {
+        "rule": "ContTemplate",
+        "conclusion": {"left": "a*", "right": "a*;a*", "eps": "0"},
+        "premises": [],
+        "meta": {
+            "schema": "descent",
+            "params": {"left": "a*", "right": "a*;a*"},
+            "spot_indices": spot_indices,
+        },
+    }
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -370,6 +461,8 @@ def test_serialize_records_hypotheses():
         lambda d: d["root"]["conclusion"].pop("left"),
         lambda d: d["root"]["conclusion"].update(left="(a"),
         lambda d: d["root"].update(premises="zzz"),
+        lambda d: d["root"]["conclusion"].update(eps=True),
+        lambda d: d.update(root=_descent_root([True, False])),
     ],
 )
 def test_deserialize_rejects_malformed_documents(mangle):
