@@ -1,11 +1,11 @@
 """Finite state spaces from iterated derivatives.
 
-States are expressions interned up to ACI of + together with the unit laws
-``0;x = x;0 = 0``, ``1;x = x;1 = x`` and ``x + 0 = x``.  The unit laws matter:
-the literal transition function threads output bits into sequences, and
-without collapsing them the set of derivatives modulo ACI alone grows
-forever (already for ``a*``).  Both normalizations preserve the language, so
-the quotient is a plain deterministic automaton over the same behaviours.
+States are interned by their :func:`~regdist.syntax.state_normal` form: ACI
+of + together with the unit laws ``0;x = x;0 = 0``, ``1;x = x;1 = x`` and
+``x + 0 = x``.  The unit laws matter: the literal transition function
+threads output bits into sequences, and without collapsing them the set of
+derivatives modulo ACI alone grows forever (already for ``a*``).  Both laws
+preserve the language, so the quotient is a plain deterministic automaton.
 """
 
 from __future__ import annotations
@@ -17,17 +17,15 @@ from typing import Iterator
 from .derivatives import output, step
 from .syntax import (
     Alphabet,
-    CanonicalForm,
     One,
     Regex,
     Seq,
     Star,
     Sum,
     Zero,
-    canonicalize,
     infer_alphabet,
-    normal,
     pretty,
+    state_normal,
 )
 
 DEFAULT_STATE_CAP = 100_000
@@ -70,27 +68,6 @@ def unit_normalize(e: Regex) -> Regex:
             return e
 
 
-def state_normal(e: Regex) -> Regex:
-    """Joint fixed point of ACI normalization and the unit rewrites.
-
-    Starting from the ACI normal form keeps the result a function of the
-    ACI class of ``e``.  Each round either terminates or shrinks the term
-    (ACI normalization never grows it, and a firing unit rewrite strictly
-    shrinks it), so the loop is finite.
-    """
-    e = normal(e)
-    while True:
-        nxt = normal(unit_normalize(e))
-        if nxt == e:
-            return e
-        e = nxt
-
-
-def state_key(e: Regex) -> CanonicalForm:
-    """Interning key for the state of ``e``."""
-    return canonicalize(state_normal(e))
-
-
 @dataclass(frozen=True, eq=False)
 class QuotientAutomaton:
     """Deterministic automaton over derivative classes.
@@ -106,7 +83,7 @@ class QuotientAutomaton:
     outputs: tuple[int, ...]
     transitions: tuple[tuple[int, ...], ...]
     roots: tuple[int, ...]
-    _index: dict[CanonicalForm, int] = field(repr=False)
+    _index: dict[Regex, int] = field(repr=False)
 
     @property
     def n_states(self) -> int:
@@ -114,7 +91,7 @@ class QuotientAutomaton:
 
     def state_of(self, e: Regex) -> int:
         """The state id of ``e``; raises KeyError if it is not in the closure."""
-        return self._index[state_key(e)]
+        return self._index[state_normal(e)]
 
     def delta(self, i: int, a: str) -> int:
         return self.transitions[i][self.alphabet.index(a)]
@@ -133,19 +110,18 @@ def build(
     """
     if alphabet is None:
         alphabet = infer_alphabet(*roots)
-    index: dict[CanonicalForm, int] = {}
+    index: dict[Regex, int] = {}
     reps: list[Regex] = []
 
     def intern(e: Regex) -> int:
-        key = state_key(e)
-        got = index.get(key)
-        if got is not None:
-            return got
-        if len(reps) >= cap:
-            raise StateLimitExceeded(cap)
-        index[key] = len(reps)
-        reps.append(state_normal(e))
-        return index[key]
+        rep = state_normal(e)
+        got = index.get(rep)
+        if got is None:
+            if len(reps) >= cap:
+                raise StateLimitExceeded(cap)
+            got = index[rep] = len(reps)
+            reps.append(rep)
+        return got
 
     root_ids = tuple(intern(e) for e in roots)
     transitions: list[tuple[int, ...]] = []

@@ -66,11 +66,11 @@ class RunReport:
     witness: str | None
     states: int
     pairs: int
-    iterations: int
+    iterations: int | None  # of the all-pairs descent, run only for --trace
     elapsed_ms: float
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "left": self.left,
             "right": self.right,
             "lambda": str(self.discount),
@@ -81,13 +81,19 @@ class RunReport:
             "iterations": self.iterations,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
+        if self.iterations is None:
+            del out["iterations"]
+        return out
 
     def to_text(self) -> str:
+        counts = f"states: {self.states}  pairs: {self.pairs}"
+        if self.iterations is not None:
+            counts += f"  iterations: {self.iterations}"
         return "\n".join(
             [
                 f"distance: {self.distance} ({_decimal(self.distance)})",
                 f"witness: {_render_witness(self.witness)}",
-                f"states: {self.states}  pairs: {self.pairs}  iterations: {self.iterations}",
+                counts,
                 f"time: {self.elapsed_ms:.2f} ms",
             ]
         )
@@ -161,7 +167,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     s, t = aut.roots
     w = separating_word(aut, s, t)
     dist = ExponentValue.of_word(w).value(cfg.discount)
-    descent = kleene_descent(aut)
+    descent = kleene_descent(aut) if args.trace else None
     elapsed = (time.perf_counter() - t0) * 1000
     report = RunReport(
         left=args.left,
@@ -171,7 +177,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         witness=w,
         states=aut.n_states,
         pairs=pair_count(aut.n_states),
-        iterations=descent.iterations,
+        iterations=None if descent is None else descent.iterations,
         elapsed_ms=elapsed,
     )
     if args.dot is not None:
@@ -180,7 +186,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.to_text())
-        if args.trace:
+        if descent is not None:
             for i, table in enumerate(descent.trace):
                 cells = ", ".join(
                     f"({a},{b})={'inf' if ev.exponent is None else ev.exponent}"
@@ -342,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     _common_flags(p)
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--trace", action="store_true", help="print the fixed point trace")
+    p.add_argument("--trace", action="store_true", help="print the fixed point trace and iterations")
     p.add_argument("--dot", default=None, metavar="FILE", help="write the automaton as Graphviz")
     p.add_argument(
         "--verify",
@@ -363,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SPOT_CHECKS,
         metavar="K",
-        help="template instances to check (default 8)",
+        help="template instances to check, at least 1 (default 8)",
     )
     p.add_argument(
         "--verify",
@@ -379,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SPOT_CHECKS,
         metavar="K",
-        help="template instances to check (default 8)",
+        help="template instances to check, at least 1 (default 8)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable result")
     p.set_defaults(func=cmd_check)

@@ -587,7 +587,14 @@ def diagnose(
     spot_checks: int = DEFAULT_SPOT_CHECKS,
 ) -> CheckError | None:
     """Check every node; None when the derivation is valid, else the first
-    failure found with its location."""
+    failure found with its location.
+
+    Every template is checked at its recorded instances and at instances 0
+    to ``spot_checks``, which must be at least 1: instance 0 alone is the
+    trivial bound 1 and never exercises the template.
+    """
+    if spot_checks < 1:
+        raise ValueError(f"spot checks must be at least 1, got {spot_checks}")
     hyps = frozenset(hypotheses)
     seen: set[int] = set()
     stack: list[tuple[Derivation, tuple[int, ...]]] = [(root, ())]
@@ -1187,6 +1194,8 @@ def synthesize(
     epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
     if epsilon < 0:
         raise ValueError(f"negative bound {epsilon}")
+    if spot_checks < 1:
+        raise ValueError(f"spot checks must be at least 1, got {spot_checks}")
     if e == f:
         return Certificate(cfg, refl_at(e, epsilon))
     if canonicalize(e) == canonicalize(f):

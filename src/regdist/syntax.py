@@ -1,16 +1,16 @@
-"""Regular expression syntax: abstract syntax, parsing, printing, canonical forms.
+"""Regular expression syntax: abstract syntax, parsing, printing, normal forms.
 
 Expressions are built from the constants 0 and 1, single lowercase letters,
 binary sum ``e + f``, binary sequencing ``e;f`` (juxtaposition also accepted
-on input), and iteration ``e*``.  Canonical forms quotient expressions by
-associativity, commutativity and idempotence of ``+`` at every nesting level;
-no other laws are applied, so for example ``a + 0`` and ``a`` stay distinct.
+on input), and iteration ``e*``.  :func:`normal` quotients by associativity,
+commutativity and idempotence of ``+`` at every level, so ``a + 0`` and ``a``
+stay distinct; :func:`state_normal` adds the unit laws of 0 and 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class RegexError(ValueError):
@@ -130,46 +130,61 @@ def sort_key(e: Regex) -> SortKey:
     raise TypeError(f"not a regex: {e!r}")
 
 
-def _summands(e: Regex) -> Iterator[Regex]:
-    """Yield the non-Sum leaves of the sum spine of ``e``, left to right."""
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Sum):
-            stack.append(x.right)
-            stack.append(x.left)
-        else:
-            yield x
+def _spine(n: Regex) -> list[Regex]:
+    """The summands of a normal form, left to right."""
+    out = []
+    while isinstance(n, Sum):
+        out.append(n.left)
+        n = n.right
+    return out + [n]
 
 
-def _normalize_summand(e: Regex) -> Regex:
-    # e is not a Sum; rewrite any sums nested under Seq/Star into normal form.
-    match e:
-        case Seq(l, r):
-            return Seq(normal(l), normal(r))
-        case Star(b):
-            return Star(normal(b))
-        case _:
-            return e
+def _normal(e: Regex, units: bool) -> Regex:
+    """:func:`normal` of ``e``, or with ``units`` :func:`state_normal` of ``e``.
+
+    Bottom-up, once per distinct subterm object; ``e`` keeps every subterm
+    alive, so no id in ``done`` is reused during the call.
+    """
+    done: dict[int, Regex] = {}
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if id(x) in done:
+            continue
+        match x:
+            case Sum(l, r) | Seq(l, r) if id(l) not in done or id(r) not in done:
+                todo += (x, r, l)
+            case Star(b) if id(b) not in done:
+                todo += (x, b)
+            case Sum(l, r):
+                by_key = {sort_key(p): p for p in _spine(done[id(l)]) + _spine(done[id(r)])}
+                if units:
+                    by_key.pop(sort_key(Zero()), None)
+                done[id(x)] = embed(tuple(by_key[k] for k in sorted(by_key)))
+            case Seq(l, r):
+                nl, nr = done[id(l)], done[id(r)]
+                if units and (isinstance(nl, Zero) or isinstance(nr, One)):
+                    done[id(x)] = nl  # 0;y = 0 and y;1 = y
+                elif units and (isinstance(nr, Zero) or isinstance(nl, One)):
+                    done[id(x)] = nr  # y;0 = 0 and 1;y = y
+                else:
+                    done[id(x)] = Seq(nl, nr)
+            case Star(b):
+                done[id(x)] = Star(done[id(b)])
+            case _:
+                done[id(x)] = x
+    return done[id(e)]
 
 
 def canonicalize(e: Regex) -> CanonicalForm:
     """Canonical form of ``e`` modulo associativity/commutativity/idempotence of +.
 
-    The sum spine is flattened, every summand has its nested subterms
-    normalized the same way, and the summands are sorted and deduplicated.
-    The single-summand form ``(0,)`` is identified with the empty form, so
-    ``canonicalize(Zero())`` is the empty tuple; a 0 that sits beside other
-    summands is kept (there is no unit law here).
+    The summands of :func:`normal`: flattened, with nested subterms normalized
+    the same way, sorted by :func:`sort_key` and deduplicated.  ``(0,)`` is
+    identified with the empty form; a 0 beside other summands is kept.
     """
-    parts = sorted((_normalize_summand(s) for s in _summands(e)), key=sort_key)
-    out: list[Regex] = []
-    for p in parts:
-        if not out or out[-1] != p:
-            out.append(p)
-    if out == [Zero()]:
-        return ()
-    return tuple(out)
+    n = normal(e)
+    return () if isinstance(n, Zero) else tuple(_spine(n))
 
 
 def embed(form: CanonicalForm) -> Regex:
@@ -183,8 +198,14 @@ def embed(form: CanonicalForm) -> Regex:
 
 
 def normal(e: Regex) -> Regex:
-    """The canonical representative of ``e`` as an expression."""
-    return embed(canonicalize(e))
+    """The canonical representative of ``e`` modulo ACI of + (at every level)."""
+    return _normal(e, False)
+
+
+def state_normal(e: Regex) -> Regex:
+    """The representative of ``e`` modulo ACI of + and the unit laws
+    ``0;x = x;0 = 0``, ``1;x = x;1 = x`` and ``x + 0 = x``."""
+    return _normal(e, True)
 
 
 def aci_equal(e: Regex, f: Regex) -> bool:

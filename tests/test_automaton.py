@@ -8,12 +8,25 @@ from regdist.automaton import (
     build,
     product_pairs,
     product_walk,
-    state_key,
-    state_normal,
     to_dot,
     unit_normalize,
 )
-from regdist.syntax import Letter, One, Seq, Star, Sum, Zero, normal, parse, pretty
+from regdist.derivatives import step
+from regdist.syntax import (
+    Letter,
+    One,
+    Seq,
+    Star,
+    Sum,
+    Zero,
+    canonicalize,
+    embed,
+    normal,
+    parse,
+    pretty,
+    sort_key,
+    state_normal,
+)
 
 from conftest import rand_expr
 
@@ -46,10 +59,82 @@ def test_state_normal_needs_alternating_passes():
     assert state_normal(parse("(1;a);(a;0)")) == Zero()
 
 
-def test_state_key_ignores_sum_order():
-    assert state_key(Sum(A, B)) == state_key(Sum(B, A))
-    assert state_key(parse("a + (b + a)")) == state_key(parse("b + a"))
-    assert state_key(A) != state_key(B)
+def _reference_canonicalize(e):
+    """ACI canonical form the direct way: flatten the whole sum spine,
+    normalize every summand's subterms recursively, sort and deduplicate."""
+    parts, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Sum):
+            stack += (x.right, x.left)
+        elif isinstance(x, Seq):
+            parts.append(Seq(_reference_normal(x.left), _reference_normal(x.right)))
+        elif isinstance(x, Star):
+            parts.append(Star(_reference_normal(x.body)))
+        else:
+            parts.append(x)
+    out = []
+    for p in sorted(parts, key=sort_key):
+        if not out or out[-1] != p:
+            out.append(p)
+    return () if out == [Zero()] else tuple(out)
+
+
+def _reference_normal(e):
+    return embed(_reference_canonicalize(e))
+
+
+def _reference_state_normal(e):
+    """Alternate ACI normalization and one unit pass until nothing changes."""
+    x = _reference_normal(e)
+    while True:
+        nxt = _reference_normal(unit_normalize(x))
+        if nxt == x:
+            return x
+        x = nxt
+
+
+def _reference_build(e, alphabet):
+    index, reps, transitions = {}, [], []
+
+    def intern(x):
+        key = _reference_canonicalize(_reference_state_normal(x))
+        if key not in index:
+            index[key] = len(reps)
+            reps.append(_reference_state_normal(x))
+        return index[key]
+
+    intern(e)
+    while len(transitions) < len(reps):
+        transitions.append(tuple(intern(step(reps[len(transitions)], a)) for a in alphabet))
+    return tuple(reps), tuple(transitions)
+
+
+def test_normal_forms_match_the_fixed_point_reference():
+    rng = random.Random(41)
+    words = ["".join(w) for n in range(4) for w in itertools.product("ab", repeat=n)]
+    for _ in range(150):
+        e = rand_expr(rng, rng.randint(1, 12))
+        for word in words:
+            x = e
+            for letter in word:
+                x = step(x, letter)
+            assert canonicalize(x) == _reference_canonicalize(x)
+            assert normal(x) == _reference_normal(x)
+            assert state_normal(x) == _reference_state_normal(x)
+        aut = build([e], ("a", "b"))
+        assert (aut.states, aut.transitions) == _reference_build(e, ("a", "b"))
+
+
+def test_state_normal_of_a_long_word_does_not_recurse_per_letter():
+    for _ in range(2):
+        assert state_normal(step(parse("a" * 240), "a")) == parse("a" * 239)
+
+
+def test_state_normal_ignores_sum_order():
+    assert state_normal(Sum(A, B)) == state_normal(Sum(B, A))
+    assert state_normal(parse("a + (b + a)")) == state_normal(parse("b + a"))
+    assert state_normal(A) != state_normal(B)
 
 
 def test_closure_of_a_star_is_a_single_state():

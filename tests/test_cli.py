@@ -8,7 +8,7 @@ import pytest
 
 import regdist
 from regdist.cli import main
-from regdist.proof import from_json
+from regdist.proof import diagnose_certificate, from_json
 
 
 def run(capsys, *argv):
@@ -36,6 +36,8 @@ def test_dist_text_report(capsys):
     assert "distance: 1/4 (0.250000)" in out
     assert "witness: aa" in out
     assert "states: 4" in out
+    assert "iterations" not in out
+    code, out, err = run(capsys, "dist", "a*", "a+1", "--trace")
     assert "iterations: 3" in out
 
 
@@ -46,7 +48,10 @@ def test_dist_json_report(capsys):
     assert doc["distance"] == {"exact": "1/4", "decimal": "0.250000"}
     assert doc["witness"] == "aa"
     assert doc["lambda"] == "1/2"
-    assert doc["states"] == 4 and doc["pairs"] == 6 and doc["iterations"] == 3
+    assert doc["states"] == 4 and doc["pairs"] == 6 and "iterations" not in doc
+    code, out, _ = run(capsys, "dist", "a*", "a+1", "--json", "--trace")
+    doc = json.loads(out)
+    assert doc["distance"]["exact"] == "1/4" and doc["iterations"] == 3
 
 
 def test_dist_reports_the_empty_witness_distinctly(capsys):
@@ -214,6 +219,37 @@ def test_check_malformed_documents_exit_2(capsys, tmp_path, monkeypatch):
     target.write_text(json.dumps(doc))
     code, _, err = run(capsys, "check", str(target))
     assert code == 2
+
+
+def test_spot_checks_below_one_are_refused(capsys, tmp_path):
+    # a = a*;0 does not hold (distance 1/2); instance 0 of the template is
+    # the trivial bound 1, so checking it alone would accept the document
+    doc = {
+        "version": 1,
+        "lambda": "1/2",
+        "hypotheses": [],
+        "root": {
+            "rule": "ContTemplate",
+            "conclusion": {"left": "a", "right": "a*;0", "eps": "0"},
+            "premises": [],
+            "meta": {
+                "schema": "star_unroll",
+                "params": {"g": "a", "e": "a", "f": "0"},
+                "spot_indices": [],
+            },
+        },
+    }
+    target = tmp_path / "unroll.json"
+    target.write_text(json.dumps(doc))
+    for k in ("0", "-1"):
+        code, out, err = run(capsys, "check", str(target), "--spot-checks", k)
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, err = run(capsys, "prove", "a*", "a*;a*", "0", "--spot-checks", k)
+        assert code == 2 and out == "" and err.startswith("error:")
+    code, out, _ = run(capsys, "check", str(target), "--spot-checks", "1")
+    assert code == 1 and out.startswith("invalid:")
+    with pytest.raises(ValueError):
+        diagnose_certificate(from_json(json.dumps(doc)), 0)
 
 
 def test_batch_table(capsys, monkeypatch):
