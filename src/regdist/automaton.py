@@ -15,18 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .derivatives import output, step
-from .syntax import (
-    Alphabet,
-    One,
-    Regex,
-    Seq,
-    Star,
-    Sum,
-    Zero,
-    infer_alphabet,
-    pretty,
-    state_normal,
-)
+from .syntax import Alphabet, Regex, infer_alphabet, pretty, state_normal
 
 DEFAULT_STATE_CAP = 100_000
 
@@ -37,35 +26,6 @@ class StateLimitExceeded(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"state cap of {cap} exceeded while closing under derivatives")
         self.cap = cap
-
-
-def unit_normalize(e: Regex) -> Regex:
-    """One bottom-up pass of the unit rewrites 0;x, x;0, 1;x, x;1, x+0."""
-    match e:
-        case Zero() | One():
-            return e
-        case Sum(l, r):
-            ln = unit_normalize(l)
-            rn = unit_normalize(r)
-            if ln == Zero():
-                return rn
-            if rn == Zero():
-                return ln
-            return Sum(ln, rn)
-        case Seq(l, r):
-            ln = unit_normalize(l)
-            rn = unit_normalize(r)
-            if ln == Zero() or rn == Zero():
-                return Zero()
-            if ln == One():
-                return rn
-            if rn == One():
-                return ln
-            return Seq(ln, rn)
-        case Star(b):
-            return Star(unit_normalize(b))
-        case _:
-            return e
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build, product_pairs, to_dot
 from .derivatives import fundamental_decomposition
-from .metric import Config, ExponentValue, distance, kleene_descent, pair_count, separating_word
+from .metric import Config, ExponentValue, kleene_descent, pair_count, separating_word
 from .oracle import brute_distance
 from .proof import (
     DEFAULT_SPOT_CHECKS,
@@ -194,11 +194,13 @@ def cmd_dist(args: argparse.Namespace) -> int:
                 )
                 print(f"step {i}: {cells or '(no pairs)'}")
     if args.verify:
-        bound = len(product_pairs(aut, s, t))
+        # Equal: no separating word is longer than the pair count.  Apart: a
+        # witness that is too long or does not separate still mismatches.
+        bound = len(product_pairs(aut, s, t)) if w is None else len(w)
         reference = brute_distance(e, f, alphabet, bound, cfg.discount)
         if reference != dist:
             print(
-                f"verification mismatch: fixed point gives {dist},"
+                f"verification mismatch: the product walk gives {dist},"
                 f" enumeration up to length {bound} gives {reference}",
                 file=sys.stderr,
             )
@@ -213,17 +215,17 @@ def cmd_prove(args: argparse.Namespace) -> int:
         raise RegexError("prove needs a bound: give EPS or pass --tight")
     if args.epsilon is not None and args.tight:
         raise RegexError("give either EPS or --tight, not both")
-    if args.tight:
-        epsilon = distance(e, f, cfg, alphabet, args.cap)
-    else:
-        epsilon = _parse_eps_arg(args.epsilon)
+    epsilon = Fraction(0) if args.tight else _parse_eps_arg(args.epsilon)
     try:
         cert = synthesize(e, f, epsilon, cfg, alphabet, args.cap, args.spot_checks)
     except SynthesisFailure as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        print(f"distance: {exc.distance}", file=sys.stderr)
-        print(f"witness: {_render_witness(exc.witness)}", file=sys.stderr)
-        return EXIT_REFUSED
+        if not args.tight:
+            print(f"refused: {exc}", file=sys.stderr)
+            print(f"distance: {exc.distance}", file=sys.stderr)
+            print(f"witness: {_render_witness(exc.witness)}", file=sys.stderr)
+            return EXIT_REFUSED
+        # the refusal carries the distance; the retry reuses the automaton
+        cert = synthesize(e, f, exc.distance, cfg, alphabet, args.cap, args.spot_checks)
     if args.verify and not check_certificate(cert, args.spot_checks):
         err = diagnose_certificate(cert, args.spot_checks)
         print(f"verification mismatch: synthesized certificate fails: {err}", file=sys.stderr)

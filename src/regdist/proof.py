@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterable
 
-from .automaton import DEFAULT_STATE_CAP, build, state_normal, unit_normalize
+from .automaton import DEFAULT_STATE_CAP, build
 from .derivatives import fundamental_decomposition, output, output_bit, step
 from .metric import Config, ExponentValue, separating_word
 from .syntax import (
@@ -36,13 +36,14 @@ from .syntax import (
     canonicalize,
     infer_alphabet,
     letters,
-    normal,
     parse,
     pretty,
     sort_key,
 )
 
 DEFAULT_SPOT_CHECKS = 8
+
+_ZERO = Fraction(0)
 
 
 class Rule(Enum):
@@ -103,9 +104,9 @@ class Judgement:
     eps: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.eps, Fraction):
+        if type(self.eps) is not Fraction:  # isinstance goes through ABCMeta
             object.__setattr__(self, "eps", Fraction(self.eps))
-        if self.eps < 0:
+        if self.eps.numerator < 0:
             raise ProofError(f"negative bound {self.eps}")
 
     def flipped(self) -> Judgement:
@@ -151,7 +152,7 @@ class Derivation:
 
 
 def refl(e: Regex) -> Derivation:
-    return Derivation(Rule.REFL, Judgement(e, e, Fraction(0)))
+    return Derivation(Rule.REFL, Judgement(e, e, _ZERO))
 
 
 def symm(d: Derivation) -> Derivation:
@@ -216,20 +217,20 @@ def npref(d: Derivation, a: str, cfg: Config, eps: Fraction | None = None) -> De
 
 
 def sl1(e: Regex) -> Derivation:
-    return Derivation(Rule.SL1, Judgement(Sum(e, e), e, Fraction(0)))
+    return Derivation(Rule.SL1, Judgement(Sum(e, e), e, _ZERO))
 
 
 def sl2(e: Regex, f: Regex) -> Derivation:
-    return Derivation(Rule.SL2, Judgement(Sum(e, f), Sum(f, e), Fraction(0)))
+    return Derivation(Rule.SL2, Judgement(Sum(e, f), Sum(f, e), _ZERO))
 
 
 def sl3(e: Regex, f: Regex, g: Regex) -> Derivation:
-    concl = Judgement(Sum(Sum(e, f), g), Sum(e, Sum(f, g)), Fraction(0))
+    concl = Judgement(Sum(Sum(e, f), g), Sum(e, Sum(f, g)), _ZERO)
     return Derivation(Rule.SL3, concl)
 
 
 def sl4(e: Regex) -> Derivation:
-    return Derivation(Rule.SL4, Judgement(Sum(e, Zero()), e, Fraction(0)))
+    return Derivation(Rule.SL4, Judgement(Sum(e, Zero()), e, _ZERO))
 
 
 def sl5(d1: Derivation, d2: Derivation) -> Derivation:
@@ -240,43 +241,43 @@ def sl5(d1: Derivation, d2: Derivation) -> Derivation:
 
 
 def one_s(e: Regex) -> Derivation:
-    return Derivation(Rule.ONE_S, Judgement(Seq(One(), e), e, Fraction(0)))
+    return Derivation(Rule.ONE_S, Judgement(Seq(One(), e), e, _ZERO))
 
 
 def s_assoc(e: Regex, f: Regex, g: Regex) -> Derivation:
-    concl = Judgement(Seq(e, Seq(f, g)), Seq(Seq(e, f), g), Fraction(0))
+    concl = Judgement(Seq(e, Seq(f, g)), Seq(Seq(e, f), g), _ZERO)
     return Derivation(Rule.S, concl)
 
 
 def s_one(e: Regex) -> Derivation:
-    return Derivation(Rule.S1, Judgement(Seq(e, One()), e, Fraction(0)))
+    return Derivation(Rule.S1, Judgement(Seq(e, One()), e, _ZERO))
 
 
 def zero_s(e: Regex) -> Derivation:
-    return Derivation(Rule.ZERO_S, Judgement(Seq(Zero(), e), Zero(), Fraction(0)))
+    return Derivation(Rule.ZERO_S, Judgement(Seq(Zero(), e), Zero(), _ZERO))
 
 
 def s_zero(e: Regex) -> Derivation:
-    return Derivation(Rule.S0, Judgement(Seq(e, Zero()), Zero(), Fraction(0)))
+    return Derivation(Rule.S0, Judgement(Seq(e, Zero()), Zero(), _ZERO))
 
 
 def d1(e: Regex, f: Regex, g: Regex) -> Derivation:
-    concl = Judgement(Seq(e, Sum(f, g)), Sum(Seq(e, f), Seq(e, g)), Fraction(0))
+    concl = Judgement(Seq(e, Sum(f, g)), Sum(Seq(e, f), Seq(e, g)), _ZERO)
     return Derivation(Rule.D1, concl)
 
 
 def d2(e: Regex, f: Regex, g: Regex) -> Derivation:
-    concl = Judgement(Seq(Sum(e, f), g), Sum(Seq(e, g), Seq(f, g)), Fraction(0))
+    concl = Judgement(Seq(Sum(e, f), g), Sum(Seq(e, g), Seq(f, g)), _ZERO)
     return Derivation(Rule.D2, concl)
 
 
 def unroll(e: Regex) -> Derivation:
-    concl = Judgement(Star(e), Sum(Seq(e, Star(e)), One()), Fraction(0))
+    concl = Judgement(Star(e), Sum(Seq(e, Star(e)), One()), _ZERO)
     return Derivation(Rule.UNROLL, concl)
 
 
 def tight(e: Regex) -> Derivation:
-    concl = Judgement(Star(Sum(e, One())), Star(e), Fraction(0))
+    concl = Judgement(Star(Sum(e, One())), Star(e), _ZERO)
     return Derivation(Rule.TIGHT, concl)
 
 
@@ -300,15 +301,19 @@ def cont_template(
     return Derivation(Rule.CONT_TEMPLATE, conclusion, (), meta)
 
 
-def _chain(*parts: Derivation) -> Derivation:
-    """Compose by transitivity, skipping links that just restate one side."""
-    kept = [p for p in parts if not (p.left == p.right and p.eps == 0)]
-    if not kept:
-        return parts[0]
+def _then(*parts: Derivation) -> Derivation:
+    """Compose by transitivity, skipping Refl links."""
+    kept = [p for p in parts if p.rule is not Rule.REFL] or parts[:1]
     acc = kept[-1]
     for p in reversed(kept[:-1]):
         acc = triang(p, acc)
     return acc
+
+
+def _chain(*parts: Derivation) -> Derivation:
+    """Compose by transitivity, skipping every link that just restates one
+    side.  :func:`_then` skips Refl links alone and compares no expressions."""
+    return _then(*[p for p in parts if not (p.left == p.right and p.eps == 0)] or parts[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -668,27 +673,67 @@ def diagnose_certificate(
 
 
 # ---------------------------------------------------------------------------
-# Zero-bound rewriting derivations: ACI normalization and unit collapse
+# Zero-bound normalization, derived in the pass that computes the normal form
 
 
-@lru_cache(maxsize=4096)
-def aci_to_canonical(e: Regex) -> Derivation:
-    """Derivation of ``e = normal(e)`` at bound 0."""
-    match e:
-        case Zero() | One() | Letter(_):
-            return refl(e)
-        case Star(b):
-            return star_cong(aci_to_canonical(b))
-        case Seq(l, r):
-            return seq_cong(aci_to_canonical(l), aci_to_canonical(r))
-        case Sum(l, r):
-            dl = aci_to_canonical(l)
-            dr = aci_to_canonical(r)
-            merged = _merge_sorted(dl.right, dr.right)
-            out = _chain(sum_cong(dl, dr), merged)
-            assert out.right == normal(e)
-            return out
-    raise TypeError(f"not a regex: {e!r}")
+def _normalizing(e: Regex, units: bool) -> Derivation:
+    """Derivation of ``e = normal(e)`` at bound 0, or with ``units`` of
+    ``e = state_normal(e)``.
+
+    The twin of :func:`regdist.syntax._normal`: the same work list, and each
+    step justified by the rule behind it.  A sum is congruence, then the
+    ordered merge (SL1-SL3), or with ``units`` SL2 and SL4 dropping a 0
+    child; a sequence is congruence, then ZeroS, S1, S0 or OneS in
+    ``_normal``'s order; a star is congruence.  An unchanged subterm is Refl.
+    """
+    done: dict[int, Derivation] = {}
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if id(x) in done:
+            continue
+        match x:
+            case Seq(l, r) if units and id(l) not in done:
+                todo += (x, l)
+            case Seq(l, r) if units and isinstance(done[id(l)].right, Zero):
+                # 0;y = 0, without visiting y
+                done[id(x)] = _then(_congruence(x, seq_cong, done[id(l)], refl(r)), zero_s(r))
+            case Sum(l, r) | Seq(l, r) if id(l) not in done or id(r) not in done:
+                todo += (x, r, l)
+            case Star(b) if id(b) not in done:
+                todo += (x, b)
+            case Sum(l, r):
+                dl, dr = done[id(l)], done[id(r)]
+                nl, nr = dl.right, dr.right
+                if units and isinstance(nr, Zero):
+                    merge = sl4(nl)  # x + 0 = x
+                elif units and isinstance(nl, Zero):
+                    merge = triang(sl2(nl, nr), sl4(nr))  # 0 + y = y + 0 = y
+                else:
+                    merge = _merge_sorted(nl, nr)
+                done[id(x)] = _then(_congruence(x, sum_cong, dl, dr), merge)
+            case Seq(l, r):
+                dl, dr = done[id(l)], done[id(r)]
+                nl, nr = dl.right, dr.right
+                d = _congruence(x, seq_cong, dl, dr)
+                if units and isinstance(nr, One):
+                    d = _then(d, s_one(nl))  # y;1 = y
+                elif units and isinstance(nr, Zero):
+                    d = _then(d, s_zero(nl))  # y;0 = 0
+                elif units and isinstance(nl, One):
+                    d = _then(d, one_s(nr))  # 1;y = y
+                done[id(x)] = d
+            case Star(b):
+                done[id(x)] = _congruence(x, star_cong, done[id(b)])
+            case _:
+                done[id(x)] = refl(x)
+    return done[id(e)]
+
+
+def _congruence(x: Regex, cong: Callable[..., Derivation], *parts: Derivation) -> Derivation:
+    """``cong`` over the children's derivations, or ``refl(x)`` when none
+    of them changes anything (a normalization step is Refl just then)."""
+    return refl(x) if all(p.rule is Rule.REFL for p in parts) else cong(*parts)
 
 
 def _merge_sorted(x: Regex, y: Regex) -> Derivation:
@@ -696,10 +741,11 @@ def _merge_sorted(x: Regex, y: Regex) -> Derivation:
     if not isinstance(x, Sum):
         return _insert_sorted(x, y)
     h, t = x.left, x.right
+    assoc = sl3(h, t, y)
     rec = _merge_sorted(t, y)
-    return _chain(
-        sl3(h, t, y),
-        sum_cong(refl(h), rec),
+    return _then(
+        assoc,
+        _congruence(assoc.right, sum_cong, refl(h), rec),
         _insert_sorted(h, rec.right),
     )
 
@@ -714,87 +760,35 @@ def _insert_sorted(s: Regex, y: Regex) -> Derivation:
         return sl2(s, y)
     h, t = y.left, y.right
     if s == h:
-        return _chain(symm(sl3(s, s, t)), sum_cong(sl1(s), refl(t)))
+        return _then(symm(sl3(s, s, t)), sum_cong(sl1(s), refl(t)))
     if sort_key(s) < sort_key(h):
         return refl(Sum(s, y))
     rec = _insert_sorted(s, t)
-    return _chain(
+    assoc = sl3(h, s, t)
+    return _then(
         symm(sl3(s, h, t)),
         sum_cong(sl2(s, h), refl(t)),
-        sl3(h, s, t),
-        sum_cong(refl(h), rec),
+        assoc,
+        _congruence(assoc.right, sum_cong, refl(h), rec),
     )
 
 
 def aci_bridge(x: Regex, y: Regex) -> Derivation:
-    """``x = y`` at bound 0, for ACI-equivalent expressions."""
+    """``x = y`` at bound 0, for ACI-equivalent expressions: both sides
+    normalized with units off, meeting at their common normal form."""
     if x == y:
         return refl(x)
-    if canonicalize(x) != canonicalize(y):
+    dx, dy = _normalizing(x, False), _normalizing(y, False)
+    if dx.right != dy.right:
         raise ProofError(
             f"{pretty(x)} and {pretty(y)} are not equal up to sum reordering"
         )
-    return _chain(aci_to_canonical(x), symm(aci_to_canonical(y)))
+    return _chain(dx, symm(dy))
 
 
-@lru_cache(maxsize=4096)
-def unit_collapse(e: Regex) -> Derivation:
-    """Derivation of ``e = unit_normalize(e)`` at bound 0."""
-    match e:
-        case Zero() | One() | Letter(_):
-            return refl(e)
-        case Sum(l, r):
-            dl = unit_collapse(l)
-            dr = unit_collapse(r)
-            ln, rn = dl.right, dr.right
-            base = sum_cong(dl, dr)
-            if ln == Zero():
-                out = _chain(base, sl2(Zero(), rn), sl4(rn))
-            elif rn == Zero():
-                out = _chain(base, sl4(ln))
-            elif ln == l and rn == r:
-                out = refl(e)
-            else:
-                out = base
-        case Seq(l, r):
-            dl = unit_collapse(l)
-            dr = unit_collapse(r)
-            ln, rn = dl.right, dr.right
-            base = seq_cong(dl, dr)
-            if ln == Zero():
-                out = _chain(base, zero_s(rn))
-            elif rn == Zero():
-                out = _chain(base, s_zero(ln))
-            elif ln == One():
-                out = _chain(base, one_s(rn))
-            elif rn == One():
-                out = _chain(base, s_one(ln))
-            elif ln == l and rn == r:
-                out = refl(e)
-            else:
-                out = base
-        case Star(b):
-            db = unit_collapse(b)
-            out = refl(e) if db.right == b else star_cong(db)
-        case _:
-            raise TypeError(f"not a regex: {e!r}")
-    assert out.right == unit_normalize(e)
-    return out
-
-
-@lru_cache(maxsize=4096)
 def normalization_proof(e: Regex) -> Derivation:
     """Derivation of ``e = state_normal(e)`` at bound 0."""
-    chain = aci_to_canonical(e)
-    cur = chain.right
-    while True:
-        du = unit_collapse(cur)
-        da = aci_to_canonical(du.right)
-        if da.right == cur:
-            assert cur == state_normal(e)
-            return chain
-        chain = _chain(chain, du, da)
-        cur = da.right
+    return _normalizing(e, True)
 
 
 # ---------------------------------------------------------------------------
@@ -830,15 +824,9 @@ def normal_form_proof(e: Regex, alphabet: Alphabet) -> Derivation:
     target = fundamental_decomposition(e, alphabet)
     match e:
         case Zero() | One() | Letter(_):
-            term_proofs = []
-            for a in alphabet:
-                da = step(e, a)
-                term = s_one(Letter(a)) if da == One() else s_zero(Letter(a))
-                term_proofs.append(term)
-            folded = _fold(sl5, term_proofs, refl(output_bit(e)))
-            collapse = unit_collapse(folded.right)
-            assert collapse.right == e
-            return symm(_chain(folded, collapse))
+            # every slot is a;1 or a;0 and the bit is 0 or 1: the unit laws
+            # collapse the decomposition back to e
+            return symm(normalization_proof(target))
         case Sum(f, g):
             base = sum_cong(normal_form_proof(f, alphabet), normal_form_proof(g, alphabet))
             slot_proofs = [symm(d1(Letter(a), step(f, a), step(g, a))) for a in alphabet]
@@ -1074,6 +1062,7 @@ class _ProofContext:
     """Shared automaton, root separation, and memo tables for one expression pair."""
 
     def __init__(self, e: Regex, f: Regex, cfg: Config, alphabet: Alphabet, cap: int):
+        self.left, self.right = e, f
         self.cfg = cfg
         self.alphabet = alphabet
         self.aut = build([e, f], alphabet, cap)
@@ -1086,9 +1075,7 @@ class _ProofContext:
         """``step(states[i], a_k) = successor representative`` at bound 0."""
         got = self._bridge_memo.get((i, k))
         if got is None:
-            raw = step(self.aut.states[i], self.alphabet[k])
-            got = normalization_proof(raw)
-            assert got.right == self.aut.states[self.aut.transitions[i][k]]
+            got = normalization_proof(step(self.aut.states[i], self.alphabet[k]))
             self._bridge_memo[(i, k)] = got
         return got
 
@@ -1122,11 +1109,10 @@ class _ProofContext:
         nf_h = normal_form_proof(h, self.alphabet)
         return _chain(nf_g, folded, symm(nf_h))
 
-    def root_proof(self, e: Regex, f: Regex, n: int) -> Derivation:
-        s = self.aut.state_of(e)
-        t = self.aut.state_of(f)
-        core = self._pair_proof(s, t, n)
-        return _chain(normalization_proof(e), core, symm(normalization_proof(f)))
+    def root_proof(self, n: int) -> Derivation:
+        """Relate the two roots within ``discount ** min(n, separation exponent)``."""
+        core = self._pair_proof(*self.aut.roots, n)
+        return _chain(normalization_proof(self.left), core, symm(normalization_proof(self.right)))
 
 
 @lru_cache(maxsize=64)
@@ -1147,7 +1133,7 @@ def iterate_proof(
     if alphabet is None:
         alphabet = infer_alphabet(e, f)
     ctx = _make_context(e, f, cfg, alphabet, cap)
-    return ctx.root_proof(e, f, n)
+    return ctx.root_proof(n)
 
 
 def _descent_template(
@@ -1166,7 +1152,7 @@ def _descent_template(
         raise _TemplateRefused(
             "the languages are apart; no descent to 0 exists"
         )
-    return lambda i: weaken_to(ctx.root_proof(left, right, i), cfg.discount**i)
+    return lambda i: weaken_to(ctx.root_proof(i), cfg.discount**i)
 
 
 TEMPLATE_SCHEMAS: dict[str, Callable[[dict[str, str], Judgement, Config], Callable[[int], Derivation]]] = {
@@ -1196,8 +1182,6 @@ def synthesize(
         raise ValueError(f"negative bound {epsilon}")
     if spot_checks < 1:
         raise ValueError(f"spot checks must be at least 1, got {spot_checks}")
-    if e == f:
-        return Certificate(cfg, refl_at(e, epsilon))
     if canonicalize(e) == canonicalize(f):
         return Certificate(cfg, weaken_to(aci_bridge(e, f), epsilon))
     if alphabet is None:
@@ -1216,9 +1200,9 @@ def synthesize(
         n = 0
         while cfg.discount**n > epsilon:
             n += 1
-        return Certificate(cfg, weaken_to(ctx.root_proof(e, f, n), epsilon))
+        return Certificate(cfg, weaken_to(ctx.root_proof(n), epsilon))
     assert sep.exponent is not None
     dist = sep.value(cfg.discount)
     if epsilon < dist:
         raise SynthesisFailure(dist, sep, ctx.witness)
-    return Certificate(cfg, weaken_to(ctx.root_proof(e, f, sep.exponent), epsilon))
+    return Certificate(cfg, weaken_to(ctx.root_proof(sep.exponent), epsilon))

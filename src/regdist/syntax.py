@@ -104,8 +104,6 @@ def infer_alphabet(*exprs: Regex) -> Alphabet:
 # Structural order and canonical forms
 
 
-_TAGS = {Zero: 0, One: 1, Letter: 2, Seq: 3, Star: 4, Sum: 5}
-
 SortKey = tuple
 
 
@@ -142,8 +140,10 @@ def _spine(n: Regex) -> list[Regex]:
 def _normal(e: Regex, units: bool) -> Regex:
     """:func:`normal` of ``e``, or with ``units`` :func:`state_normal` of ``e``.
 
-    Bottom-up, once per distinct subterm object; ``e`` keeps every subterm
-    alive, so no id in ``done`` is reused during the call.
+    Bottom-up, once per distinct subterm object, left child first; with
+    ``units``, the right factor of a sequence whose left factor normalizes
+    to 0 is never visited.  ``e`` keeps every subterm alive, so no id in
+    ``done`` is reused during the call.
     """
     done: dict[int, Regex] = {}
     todo = [e]
@@ -152,6 +152,10 @@ def _normal(e: Regex, units: bool) -> Regex:
         if id(x) in done:
             continue
         match x:
+            case Seq(l, r) if units and id(l) not in done:
+                todo += (x, l)
+            case Seq(l, r) if units and isinstance(done[id(l)], Zero):
+                done[id(x)] = done[id(l)]  # 0;y = 0, without visiting y
             case Sum(l, r) | Seq(l, r) if id(l) not in done or id(r) not in done:
                 todo += (x, r, l)
             case Star(b) if id(b) not in done:
@@ -163,8 +167,8 @@ def _normal(e: Regex, units: bool) -> Regex:
                 done[id(x)] = embed(tuple(by_key[k] for k in sorted(by_key)))
             case Seq(l, r):
                 nl, nr = done[id(l)], done[id(r)]
-                if units and (isinstance(nl, Zero) or isinstance(nr, One)):
-                    done[id(x)] = nl  # 0;y = 0 and y;1 = y
+                if units and isinstance(nr, One):
+                    done[id(x)] = nl  # y;1 = y
                 elif units and (isinstance(nr, Zero) or isinstance(nl, One)):
                     done[id(x)] = nr  # y;0 = 0 and 1;y = y
                 else:
@@ -206,11 +210,6 @@ def state_normal(e: Regex) -> Regex:
     """The representative of ``e`` modulo ACI of + and the unit laws
     ``0;x = x;0 = 0``, ``1;x = x;1 = x`` and ``x + 0 = x``."""
     return _normal(e, True)
-
-
-def aci_equal(e: Regex, f: Regex) -> bool:
-    """Whether two expressions are equal modulo ACI of + (at every level)."""
-    return canonicalize(e) == canonicalize(f)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import regdist
+from regdist import automaton, cli, metric, proof
 from regdist.cli import main
 from regdist.proof import diagnose_certificate, from_json
 
@@ -88,6 +89,21 @@ def test_dist_verify(capsys):
     assert code == 0
 
 
+def test_dist_verify_bounds_the_enumeration_by_the_witness(capsys, monkeypatch):
+    # 72 product pairs are reachable: enumerating words up to that length
+    # over two letters does not finish, but the witness has 8 letters.
+    left, right = "(" + "(a+b)" * 8 + ")*", "(" + "(a+b)" * 9 + ")*"
+    code, out, _ = run(capsys, "dist", left, right, "--verify")
+    assert code == 0
+    assert "witness: aaaaaaaa" in out
+    # a claimed witness that does not separate, or is not the shortest, mismatches
+    for wrong in ("a" * 7, "a" * 9):
+        monkeypatch.setattr(cli, "separating_word", lambda aut, s, t: wrong)
+        code, _, err = run(capsys, "dist", left, right, "--verify")
+        assert code == 3
+        assert "the product walk gives" in err
+
+
 def test_dist_dot_output(capsys, tmp_path):
     target = tmp_path / "graph.dot"
     code, _, _ = run(capsys, "dist", "a*", "a+1", "--dot", str(target))
@@ -167,6 +183,23 @@ def test_prove_tight(capsys):
     assert code == 2
     code, _, err = run(capsys, "prove", "a*", "a+1")
     assert code == 2
+
+
+def test_prove_tight_builds_the_automaton_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return automaton.build(*args, **kwargs)
+
+    for module in (cli, proof, metric):
+        monkeypatch.setattr(module, "build", counting_build)
+    proof._make_context.cache_clear()
+    code, tight, _ = run(capsys, "prove", "(a+b)*;a;b", "(a+b)*;b;b", "--tight")
+    assert code == 0
+    assert len(calls) == 1
+    code, explicit, _ = run(capsys, "prove", "(a+b)*;a;b", "(a+b)*;b;b", "1/4")
+    assert (code, explicit) == (0, tight)
 
 
 def test_prove_verify(capsys):

@@ -1,11 +1,12 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from regdist.automaton import state_normal, unit_normalize
-from regdist.derivatives import fundamental_decomposition, output
+from regdist.automaton import state_normal
+from regdist.derivatives import fundamental_decomposition, output, step
 from regdist.metric import Config, ExponentValue, distance
 from regdist.oracle import denote
 from regdist.proof import (
@@ -18,8 +19,8 @@ from regdist.proof import (
     ProofError,
     Rule,
     SynthesisFailure,
+    _normalizing,
     aci_bridge,
-    aci_to_canonical,
     check,
     check_certificate,
     cont_template,
@@ -57,7 +58,6 @@ from regdist.proof import (
     to_json,
     top_rule,
     triang,
-    unit_collapse,
     unroll,
     weaken,
     weaken_to,
@@ -491,13 +491,30 @@ def test_from_json_rejects_junk():
 # equational glue proofs
 
 
-def test_aci_to_canonical_random():
+def test_normalizing_without_units_random():
     rng = random.Random(5)
     for _ in range(80):
         e = rand_expr(rng, rng.randint(1, 10))
-        d = aci_to_canonical(e)
+        d = _normalizing(e, False)
         assert d.conclusion == Judgement(e, normal(e), 0)
         assert valid(d)
+
+
+def test_normalizing_with_units_random():
+    rng = random.Random(6)
+    for _ in range(80):
+        e = rand_expr(rng, rng.randint(1, 10))
+        d = _normalizing(e, True)
+        assert d.conclusion == Judgement(e, state_normal(e), 0)
+        assert valid(d)
+
+
+def test_normalizing_leaves_normal_forms_alone():
+    rng = random.Random(7)
+    for _ in range(80):
+        e = rand_expr(rng, rng.randint(1, 10))
+        for units, n in ((False, normal(e)), (True, state_normal(e))):
+            assert _normalizing(n, units).rule is Rule.REFL
 
 
 def test_aci_bridge():
@@ -510,15 +527,6 @@ def test_aci_bridge():
         aci_bridge(A, B)
 
 
-def test_unit_collapse_random():
-    rng = random.Random(6)
-    for _ in range(80):
-        e = rand_expr(rng, rng.randint(1, 10))
-        d = unit_collapse(e)
-        assert d.conclusion == Judgement(e, unit_normalize(e), 0)
-        assert valid(d)
-
-
 def test_normalization_proof_random():
     rng = random.Random(8)
     for _ in range(80):
@@ -526,6 +534,47 @@ def test_normalization_proof_random():
         d = normalization_proof(e)
         assert d.conclusion == Judgement(e, state_normal(e), 0)
         assert valid(d)
+
+
+def test_normalization_proof_on_corpus_derivatives(corpus):
+    words = ["".join(w) for n in range(4) for w in itertools.product("ab", repeat=n)]
+    count = 0
+    for pair in corpus[:200]:
+        for e in (pair.left, pair.right):
+            for word in words:
+                x = e
+                for letter in word:
+                    x = step(x, letter)
+                d = normalization_proof(x)
+                assert d.conclusion == Judgement(x, state_normal(x), 0)
+                assert valid(d)
+                count += 1
+    assert count == 6000
+
+
+def _same_term(x, y):
+    """Structural equality without recursion, for terms deeper than the stack."""
+    todo = [(x, y)]
+    while todo:
+        u, v = todo.pop()
+        if type(u) is not type(v):
+            return False
+        match u:
+            case Letter(c) if c != v.char:
+                return False
+            case Sum(l, r) | Seq(l, r):
+                todo += [(l, v.left), (r, v.right)]
+            case Star(b):
+                todo.append((b, v.body))
+    return True
+
+
+def test_normalization_proof_of_a_long_word_does_not_recurse_per_letter():
+    x = step(parse("a" * 250), "a")  # 500 levels deep
+    d = normalization_proof(x)
+    assert _same_term(d.left, x)
+    assert (d.right, d.eps) == (state_normal(x), 0)
+    assert valid(d)
 
 
 def test_normalization_proof_spot_values():
