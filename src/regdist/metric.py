@@ -9,8 +9,8 @@ rationals only enter when a value is extracted.
 
 :func:`kleene_descent` is the paper's fixed point reference: it iterates the
 one-step operator over all pairs and backs ``dist --trace`` and the
-``iterations`` count.  A parallel rational-valued interface exposes the same
-operator on arbitrary tables for use in tests and experiments.
+``iterations`` count.  It works on exponents too; rational values come out
+of a table through :meth:`ExponentValue.value`.
 """
 
 from __future__ import annotations
@@ -87,8 +87,6 @@ DIST_TOP = ExponentValue(0)
 
 #: Pseudometric table: every off-diagonal unordered state pair gets a value.
 Table = dict[tuple[int, int], ExponentValue]
-
-RationalTable = dict[tuple[int, int], Fraction]
 
 
 def _all_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -180,11 +178,6 @@ def kleene_descent(aut: QuotientAutomaton) -> DescentResult:
     return DescentResult(table=table, trace=tuple(trace), iterations=iterations)
 
 
-def table_values(table: Table, cfg: Config) -> RationalTable:
-    """Extract rational values from an exponent table."""
-    return {p: ev.value(cfg.discount) for p, ev in table.items()}
-
-
 def separating_word(aut: QuotientAutomaton, s: int, t: int) -> str | None:
     """A shortest word on which states ``s`` and ``t`` disagree, or None.
 
@@ -227,42 +220,6 @@ def witness(
     """
     aut = build([e, f], alphabet, cap)
     return separating_word(aut, *aut.roots)
-
-
-# ---------------------------------------------------------------------------
-# Rational-valued surface
-
-
-def phi_rational(aut: QuotientAutomaton, table: RationalTable, cfg: Config) -> RationalTable:
-    """The one-step operator on arbitrary rational tables."""
-    out: RationalTable = {}
-    for (i, j), _ in table.items():
-        if aut.outputs[i] != aut.outputs[j]:
-            out[(i, j)] = Fraction(1)
-            continue
-        worst = Fraction(0)
-        for k in range(len(aut.alphabet)):
-            di = aut.transitions[i][k]
-            dj = aut.transitions[j][k]
-            if di == dj:
-                continue
-            succ = table[(min(di, dj), max(di, dj))]
-            if succ > worst:
-                worst = succ
-        out[(i, j)] = cfg.discount * worst
-    return out
-
-
-def sup_distance(a: RationalTable, b: RationalTable) -> Fraction:
-    """Supremum norm distance between two tables over the same pairs."""
-    if a.keys() != b.keys():
-        raise ValueError("tables cover different pair sets")
-    gap = Fraction(0)
-    for p, av in a.items():
-        diff = abs(av - b[p])
-        if diff > gap:
-            gap = diff
-    return gap
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,11 @@ from .syntax import (
     parse,
     pretty,
     sort_key,
+    _printer,
 )
 
 DEFAULT_SPOT_CHECKS = 8
+MAX_SPOT_INDEX = 4096  # a template instance costs time and memory in its depth
 
 _ZERO = Fraction(0)
 
@@ -317,7 +319,9 @@ def _chain(*parts: Derivation) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Certificates and their JSON form
+# Certificates and their JSON form.  A version-1 document nests each node's
+# premises inside it.  The writer makes one dict per distinct node and prints
+# each distinct expression once; the C encoder expands the shared dicts.
 
 
 @dataclass(frozen=True)
@@ -327,40 +331,44 @@ class Certificate:
     hypotheses: tuple[Judgement, ...] = ()
 
 
-def _judgement_to_dict(j: Judgement) -> dict:
-    return {"left": pretty(j.left), "right": pretty(j.right), "eps": str(j.eps)}
-
-
-def _node_to_dict(d: Derivation) -> dict:
-    out: dict = {
-        "rule": d.rule.value,
-        "conclusion": _judgement_to_dict(d.conclusion),
-        "premises": [_node_to_dict(p) for p in d.premises],
-        "meta": {},
-    }
-    m = d.meta
-    if m.midpoint is not None:
-        out["meta"]["midpoint"] = pretty(m.midpoint)
-    if m.letter is not None:
-        out["meta"]["letter"] = m.letter
-    if m.schema is not None:
-        out["meta"]["schema"] = m.schema
-        out["meta"]["params"] = {k: v for k, v in m.params}
-        out["meta"]["spot_indices"] = list(m.spot_indices)
-    return out
-
-
 def serialize(cert: Certificate) -> dict:
+    """The version-1 document of ``cert``; a node that recurs in the proof
+    DAG is one dict, held by each of its parents."""
+    show = _printer()
+
+    def judgement(j: Judgement) -> dict:
+        return {"left": show(j.left), "right": show(j.right), "eps": str(j.eps)}
+
+    nodes: dict[int, tuple[Derivation, dict]] = {}
+    todo = [cert.root]
+    while todo:
+        d = todo.pop()
+        if id(d) in nodes:
+            continue
+        m, meta = d.meta, {}
+        if m.midpoint is not None:
+            meta["midpoint"] = show(m.midpoint)
+        if m.letter is not None:
+            meta["letter"] = m.letter
+        if m.schema is not None:
+            meta.update(schema=m.schema, params=dict(m.params), spot_indices=list(m.spot_indices))
+        out = {"rule": d.rule.value, "conclusion": judgement(d.conclusion), "premises": [], "meta": meta}
+        nodes[id(d)] = (d, out)
+        todo += d.premises
+    for d, out in nodes.values():
+        out["premises"] = [nodes[id(p)][1] for p in d.premises]
     return {
         "version": 1,
         "lambda": str(cert.config.discount),
-        "hypotheses": [_judgement_to_dict(j) for j in cert.hypotheses],
-        "root": _node_to_dict(cert.root),
+        "hypotheses": [judgement(j) for j in cert.hypotheses],
+        "root": nodes[id(cert.root)][1],
     }
 
 
-def to_json(cert: Certificate, indent: int | None = 2) -> str:
-    return json.dumps(serialize(cert), indent=indent)
+def to_json(cert: Certificate, indent: int | None = None) -> str:
+    """The document as compact JSON, or indented by ``indent`` spaces."""
+    separators = (",", ":") if indent is None else None
+    return json.dumps(serialize(cert), indent=indent, separators=separators)
 
 
 def _parse_expr(text: object, what: str, parsed: dict[str, Regex]) -> Regex:
@@ -489,8 +497,17 @@ def from_json(text: str) -> Certificate:
 # Checking
 
 
-def _fail(rule: Rule, path: tuple[int, ...], reason: str) -> CheckError:
-    return CheckError(rule.value, path, reason)
+# A node's path from the root, as ``(index, parent's path)`` links ending in
+# ``()``: O(1) to extend, so deep instances hold no quadratic path copies.
+_Path = tuple
+
+
+def _fail(rule: Rule, path: _Path, reason: str) -> CheckError:
+    steps = []
+    while path:
+        i, path = path
+        steps.append(i)
+    return CheckError(rule.value, tuple(reversed(steps)), reason)
 
 
 # Each axiom rebuilt from the pattern variables read off its left side.
@@ -548,7 +565,7 @@ def _replay(d: Derivation, cfg: Config) -> Derivation:
 
 def _check_node(
     d: Derivation,
-    path: tuple[int, ...],
+    path: _Path,
     cfg: Config,
     hyps: frozenset[Judgement],
 ) -> CheckError | None:
@@ -602,7 +619,7 @@ def diagnose(
         raise ValueError(f"spot checks must be at least 1, got {spot_checks}")
     hyps = frozenset(hypotheses)
     seen: set[int] = set()
-    stack: list[tuple[Derivation, tuple[int, ...]]] = [(root, ())]
+    stack: list[tuple[Derivation, _Path]] = [(root, ())]
     while stack:
         d, path = stack.pop()
         if id(d) in seen:
@@ -616,22 +633,25 @@ def diagnose(
             if err is not None:
                 return err
         for i, p in enumerate(d.premises):
-            stack.append((p, path + (i,)))
+            stack.append((p, (i, path)))
     return None
 
 
 def _expand_template(
     d: Derivation,
-    path: tuple[int, ...],
+    path: _Path,
     cfg: Config,
     hyps: frozenset[Judgement],
     spot_checks: int,
-    stack: list[tuple[Derivation, tuple[int, ...]]],
+    stack: list[tuple[Derivation, _Path]],
 ) -> CheckError | None:
     schema = d.meta.schema
     assert schema is not None
     generator = TEMPLATE_SCHEMAS[schema]
     indices = sorted(set(d.meta.spot_indices) | set(range(spot_checks + 1)))
+    deepest = max(d.meta.spot_indices, default=0)
+    if deepest > MAX_SPOT_INDEX:
+        return _fail(d.rule, path, f"spot index {deepest} is over the budget of {MAX_SPOT_INDEX}")
     try:
         instantiate = generator(dict(d.meta.params), d.conclusion, cfg)
     except (_TemplateRefused, ProofError, RegexError, CertificateError) as exc:
@@ -649,7 +669,7 @@ def _expand_template(
                 f"instance {i} concludes {pretty(inst.left)} = {pretty(inst.right)}"
                 f" within {inst.eps}, expected bound {want.eps}",
             )
-        stack.append((inst, path + (i,)))
+        stack.append((inst, (i, path)))
     return None
 
 
@@ -805,16 +825,6 @@ def _dist_right(e: Regex, g: Regex) -> Derivation:
     )
 
 
-def _fold(
-    combine: Callable[[Derivation, Derivation], Derivation],
-    slots: list[Derivation],
-    tail: Derivation,
-) -> Derivation:
-    """``combine`` (``sum_cong`` or ``sl5``) over a left-folded sum of slots
-    with a trailing element."""
-    return reduce(combine, [*slots, tail])
-
-
 @lru_cache(maxsize=4096)
 def normal_form_proof(e: Regex, alphabet: Alphabet) -> Derivation:
     """Derivation of ``e = fundamental_decomposition(e, alphabet)`` at bound 0."""
@@ -837,7 +847,7 @@ def normal_form_proof(e: Regex, alphabet: Alphabet) -> Derivation:
                 bit_proof = sl4(bf)
             else:
                 bit_proof = _chain(sl2(Zero(), One()), sl4(One()))
-            slots = _fold(sum_cong, slot_proofs, bit_proof)
+            slots = reduce(sum_cong, [*slot_proofs, bit_proof])
             return _chain(base, aci_bridge(base.right, slots.left), slots)
         case Seq(f, g):
             return _seq_normal_form(f, g, alphabet, target)
@@ -852,7 +862,7 @@ def _seq_normal_form(f: Regex, g: Regex, alphabet: Alphabet, target: Regex) -> D
     reassoc = [symm(s_assoc(Letter(a), step(f, a), g)) for a in alphabet]
     if output(f) == 0:
         tail = zero_s(g)
-        shaped = _fold(sum_cong, reassoc, tail)
+        shaped = reduce(sum_cong, [*reassoc, tail])
         slot_bridges = []
         for a in alphabet:
             fa_g = Seq(step(f, a), g)
@@ -861,11 +871,11 @@ def _seq_normal_form(f: Regex, g: Regex, alphabet: Alphabet, target: Regex) -> D
                 sum_cong(refl(fa_g), symm(zero_s(step(g, a)))),
             )
             slot_bridges.append(seq_cong(refl(Letter(a)), widen))
-        final = _fold(sum_cong, slot_bridges, refl(output_bit(Seq(f, g))))
+        final = reduce(sum_cong, [*slot_bridges, refl(output_bit(Seq(f, g)))])
         out = _chain(base, dist, shaped, final)
     else:
         tail = _chain(one_s(g), normal_form_proof(g, alphabet))
-        shaped = _fold(sum_cong, reassoc, tail)
+        shaped = reduce(sum_cong, [*reassoc, tail])
         slot_merges = []
         for a in alphabet:
             fa_g = Seq(step(f, a), g)
@@ -876,7 +886,7 @@ def _seq_normal_form(f: Regex, g: Regex, alphabet: Alphabet, target: Regex) -> D
             )
             merge = symm(d1(Letter(a), fa_g, Seq(One(), ga)))
             slot_merges.append(_chain(lift, merge))
-        final = _fold(sum_cong, slot_merges, refl(output_bit(g)))
+        final = reduce(sum_cong, [*slot_merges, refl(output_bit(g))])
         out = _chain(
             base, dist, shaped, aci_bridge(shaped.right, final.left), final
         )
@@ -916,7 +926,7 @@ def _star_normal_form(f: Regex, alphabet: Alphabet) -> Derivation:
     c3 = sum_cong(seq_cong(refl(W), symm(c1)), refl(One()))
     c4 = sum_cong(_dist_right(W, e), refl(One()))
     reassoc = [symm(s_assoc(Letter(a), step(f, a), e)) for a in alphabet]
-    c5 = _fold(sum_cong, reassoc, refl(One()))
+    c5 = reduce(sum_cong, [*reassoc, refl(One())])
     out = _chain(c1, c2, c3, c4, c5)
     assert out.right == fundamental_decomposition(e, alphabet)
     return out
@@ -1081,18 +1091,35 @@ class _ProofContext:
 
     def _pair_proof(self, i: int, j: int, n: int) -> Derivation:
         """Relate the representatives of states i and j within
-        ``discount ** min(n, separation exponent)``."""
+        ``discount ** min(n, separation exponent)``; a work list builds the
+        successor pairs' proofs first, so a deep instance does not recurse."""
         if i == j:
             return refl(self.aut.states[i])
-        key = (min(i, j), max(i, j), n)
-        flip = i > j
-        got = self._pair_memo.get(key)
-        if got is None:
-            got = self._build_pair_proof(*key)
-            self._pair_memo[key] = got
-        return symm(got) if flip else got
+        top = (min(i, j), max(i, j), n)
+        todo = [top]
+        while todo:
+            key = todo[-1]
+            if key in self._pair_memo:
+                todo.pop()
+                continue
+            missing = [s for s in self._successor_keys(*key) if s not in self._pair_memo]
+            if missing:
+                todo += missing
+            else:
+                self._pair_memo[todo.pop()] = self._build_pair_proof(*key)
+        got = self._pair_memo[top]
+        return symm(got) if i > j else got
+
+    def _successor_keys(self, i: int, j: int, n: int) -> list[tuple[int, int, int]]:
+        """Memo keys of the distinct successor pairs one level down (none under Top)."""
+        aut = self.aut
+        if n == 0 or aut.outputs[i] != aut.outputs[j]:
+            return []
+        succ = zip(aut.transitions[i], aut.transitions[j])
+        return [(min(s, t), max(s, t), n - 1) for s, t in succ if s != t]
 
     def _build_pair_proof(self, i: int, j: int, n: int) -> Derivation:
+        """The proof of one pair, once its successor keys are in the memo."""
         aut = self.aut
         g, h = aut.states[i], aut.states[j]
         if n == 0 or aut.outputs[i] != aut.outputs[j]:
@@ -1104,7 +1131,7 @@ class _ProofContext:
             sub = self._pair_proof(aut.transitions[i][k], aut.transitions[j][k], n - 1)
             premise = _chain(bg, sub, symm(bh))
             slots.append(npref(premise, a, self.cfg))
-        folded = _fold(sl5, slots, refl(output_bit(g)))
+        folded = reduce(sl5, [*slots, refl(output_bit(g))])
         nf_g = normal_form_proof(g, self.alphabet)
         nf_h = normal_form_proof(h, self.alphabet)
         return _chain(nf_g, folded, symm(nf_h))

@@ -10,7 +10,7 @@ stay distinct; :func:`state_normal` adds the unit laws of 0 and 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class RegexError(ValueError):
@@ -305,45 +305,56 @@ def parse(text: str, alphabet: Alphabet | None = None) -> Regex:
 # ---------------------------------------------------------------------------
 # Printing
 
-# Precedence levels: Sum 0, Seq 1, Star 2, atoms 3.  A node is parenthesized
-# when its level is below what its context requires; right operands require
+# Precedence levels: Sum 0, Seq 1, Star 2, atoms 3.  A child is parenthesized
+# when its level is below what its position requires; right operands require
 # one level more than left ones so that printing round-trips exactly through
 # the left-associating parser.
 
 
-def _level(e: Regex) -> int:
-    match e:
-        case Sum(_, _):
-            return 0
-        case Seq(_, _):
-            return 1
-        case Star(_):
-            return 2
-        case _:
-            return 3
+def _printer() -> Callable[[Regex], str]:
+    """A printing function that renders each distinct subterm object once.
 
+    Its memo keeps each subterm with its precedence level and text (and the
+    term itself, so that its id is not reused); a parent reuses its children's text."""
+    done: dict[int, tuple[Regex, int, str]] = {}
 
-def _fmt(e: Regex, min_level: int) -> str:
-    match e:
-        case Zero():
-            s = "0"
-        case One():
-            s = "1"
-        case Letter(c):
-            s = c
-        case Sum(l, r):
-            s = f"{_fmt(l, 0)} + {_fmt(r, 1)}"
-        case Seq(l, r):
-            s = f"{_fmt(l, 1)};{_fmt(r, 2)}"
-        case Star(b):
-            s = f"{_fmt(b, 2)}*"
-        case _:
-            raise TypeError(f"not a regex: {e!r}")
-    if _level(e) < min_level:
-        return f"({s})"
-    return s
+    def operand(x: Regex, need: int) -> str:
+        _, level, text = done[id(x)]
+        return text if level >= need else f"({text})"
+
+    def show(e: Regex) -> str:
+        if id(e) in done:
+            return done[id(e)][2]
+        todo = [e]
+        while todo:
+            x = todo.pop()
+            if id(x) in done:
+                continue
+            match x:
+                case Sum(l, r) | Seq(l, r) if id(l) not in done or id(r) not in done:
+                    todo += (x, r, l)
+                    continue
+                case Star(b) if id(b) not in done:
+                    todo += (x, b)
+                    continue
+                case Sum(l, r):
+                    level, text = 0, f"{operand(l, 0)} + {operand(r, 1)}"
+                case Seq(l, r):
+                    level, text = 1, f"{operand(l, 1)};{operand(r, 2)}"
+                case Star(b):
+                    level, text = 2, f"{operand(b, 2)}*"
+                case Letter(c):
+                    level, text = 3, c
+                case Zero() | One():
+                    level, text = 3, "0" if isinstance(x, Zero) else "1"
+                case _:
+                    raise TypeError(f"not a regex: {x!r}")
+            done[id(x)] = (x, level, text)
+        return done[id(e)][2]
+
+    return show
 
 
 def pretty(e: Regex) -> str:
     """Render ``e`` with minimal parentheses; ``parse(pretty(e)) == e``."""
-    return _fmt(e, 0)
+    return _printer()(e)

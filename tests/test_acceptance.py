@@ -18,9 +18,6 @@ from regdist.metric import (
     distance,
     kleene_descent,
     pair_count,
-    phi_rational,
-    sup_distance,
-    table_values,
     witness,
 )
 from regdist.oracle import brute_distance, denote
@@ -39,6 +36,7 @@ from regdist.proof import (
 from regdist.syntax import Seq, Star, Sum, infer_alphabet, parse
 
 from conftest import rand_expr
+from rational_tables import phi_rational, sup_distance, table_values
 
 HALF = Fraction(1, 2)
 

@@ -135,13 +135,44 @@ def test_dist_on_a_very_long_word_exits_2_without_a_traceback():
     assert "Traceback" not in proc.stderr
 
 
-def test_check_of_a_deep_descent_instance_exits_2_without_a_traceback(capsys, tmp_path):
+def test_check_of_a_deep_descent_instance_is_valid(capsys, tmp_path):
     code, cert_text, _ = run(capsys, "prove", "a*", "a*;a*", "0")
     assert code == 0
     doc = json.loads(cert_text)
     doc["root"]["meta"]["spot_indices"] = [2000]
     target = tmp_path / "deep.json"
     target.write_text(json.dumps(doc))
+    proc = run_process("check", str(target))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("valid:")
+
+
+def _star_unroll_document(spot_indices):
+    """A star_unroll template over the hypothesis ``a = a;a + 0``."""
+    return {
+        "version": 1,
+        "lambda": "1/2",
+        "hypotheses": [{"left": "a", "right": "a;a + 0", "eps": "0"}],
+        "root": {
+            "rule": "ContTemplate",
+            "conclusion": {"left": "a", "right": "a*;0", "eps": "0"},
+            "premises": [],
+            "meta": {
+                "schema": "star_unroll",
+                "params": {"g": "a", "e": "a", "f": "0"},
+                "spot_indices": spot_indices,
+            },
+        },
+    }
+
+
+def test_check_of_a_deep_star_unroll_instance_exits_2_without_a_traceback(tmp_path):
+    target = tmp_path / "unroll.json"
+    target.write_text(json.dumps(_star_unroll_document([3])))
+    proc = run_process("check", str(target))
+    assert proc.returncode == 0, proc.stderr
+    # the unrolling recurses once per depth
+    target.write_text(json.dumps(_star_unroll_document([2000])))
     proc = run_process("check", str(target))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1

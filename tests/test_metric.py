@@ -14,16 +14,14 @@ from regdist.metric import (
     distance,
     kleene_descent,
     pair_count,
-    phi_rational,
     separation,
-    sup_distance,
-    table_values,
     witness,
 )
 from regdist.oracle import brute_distance, brute_witness
 from regdist.syntax import Letter, One, parse
 
 from conftest import rand_expr
+from rational_tables import phi_rational, sup_distance, table_values
 
 HALF = Fraction(1, 2)
 

@@ -13,6 +13,7 @@ from regdist.proof import (
     Certificate,
     CertificateError,
     CheckError,
+    MAX_SPOT_INDEX,
     Derivation,
     Judgement,
     Meta,
@@ -425,6 +426,73 @@ def test_serialize_round_trip_preserves_everything():
     assert from_json(to_json(cert, indent=None)) == cert
 
 
+# The recursive writer that ``serialize`` replaced, kept as a reference for
+# the document it must still produce.
+def _node_to_dict(d: Derivation) -> dict:
+    out: dict = {
+        "rule": d.rule.value,
+        "conclusion": {"left": pretty(d.left), "right": pretty(d.right), "eps": str(d.eps)},
+        "premises": [_node_to_dict(p) for p in d.premises],
+        "meta": {},
+    }
+    m = d.meta
+    if m.midpoint is not None:
+        out["meta"]["midpoint"] = pretty(m.midpoint)
+    if m.letter is not None:
+        out["meta"]["letter"] = m.letter
+    if m.schema is not None:
+        out["meta"]["schema"] = m.schema
+        out["meta"]["params"] = {k: v for k, v in m.params}
+        out["meta"]["spot_indices"] = list(m.spot_indices)
+    return out
+
+
+def _reference_document(cert: Certificate) -> dict:
+    return {
+        "version": 1,
+        "lambda": str(cert.config.discount),
+        "hypotheses": [
+            {"left": pretty(j.left), "right": pretty(j.right), "eps": str(j.eps)}
+            for j in cert.hypotheses
+        ],
+        "root": _node_to_dict(cert.root),
+    }
+
+
+def _writer_certificates(corpus):
+    """The first 40 corpus pairs at their exact distance, and certificates
+    with hypotheses and with each template."""
+    for pair in corpus[:40]:
+        d = distance(pair.left, pair.right, None, pair.alphabet)
+        yield synthesize(pair.left, pair.right, d, None, pair.alphabet)
+    j = Judgement(parse("a*"), parse("a;a* + 1"), 0)
+    yield Certificate(CFG, star_unroll_proof(j, 3, CFG), (j,))
+    yield Certificate(CFG, salomaa_rule(j, CFG), (j,))
+    yield synthesize(parse("a*"), parse("a*;a*"), Fraction(0))
+
+
+def test_to_json_writes_the_document_of_the_recursive_writer(corpus):
+    for cert in _writer_certificates(corpus):
+        text = to_json(cert)
+        assert "\n" not in text
+        assert json.loads(text) == _reference_document(cert)
+
+
+def test_compact_and_indented_documents_read_back_alike(corpus):
+    for cert in _writer_certificates(corpus):
+        compact = from_json(to_json(cert))
+        indented = from_json(to_json(cert, indent=2))
+        assert compact == indented == cert
+        assert check_certificate(compact) and check_certificate(indented)
+
+
+def test_serialize_writes_a_shared_node_once():
+    shared = top_rule(A, B)
+    doc = serialize(Certificate(CFG, triang(shared, symm(shared))))
+    first, second = doc["root"]["premises"]
+    assert second["premises"][0] is first
+
+
 def test_serialize_records_hypotheses():
     j = Judgement(parse("a*"), parse("a;a* + 1"), 0)
     cert = Certificate(CFG, star_unroll_proof(j, 2, CFG), (j,))
@@ -470,6 +538,13 @@ def test_deserialize_rejects_malformed_documents(mangle):
     mangle(doc)
     with pytest.raises(CertificateError):
         deserialize(doc)
+
+
+def test_checker_refuses_a_spot_index_over_the_budget():
+    doc = {"version": 1, "lambda": "1/2", "root": _descent_root([3, MAX_SPOT_INDEX + 1])}
+    err = diagnose_certificate(deserialize(doc))
+    assert err is not None and err.path == ()
+    assert f"spot index {MAX_SPOT_INDEX + 1} is over the budget" in err.reason
 
 
 def test_deserialize_requires_recorded_midpoints():

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regdist.syntax import (
+    _printer,
     Letter,
     One,
     RegexError,
@@ -44,6 +45,42 @@ exprs = st.recursive(
 @settings(max_examples=300)
 def test_pretty_parse_round_trip(e):
     assert parse(pretty(e)) == e
+
+
+# The recursive printer that ``_printer`` replaced, kept as a reference for
+# the exact text.
+def _fmt(e, min_level):
+    match e:
+        case Zero():
+            s, level = "0", 3
+        case One():
+            s, level = "1", 3
+        case Letter(c):
+            s, level = c, 3
+        case Sum(l, r):
+            s, level = f"{_fmt(l, 0)} + {_fmt(r, 1)}", 0
+        case Seq(l, r):
+            s, level = f"{_fmt(l, 1)};{_fmt(r, 2)}", 1
+        case Star(b):
+            s, level = f"{_fmt(b, 2)}*", 2
+    return f"({s})" if level < min_level else s
+
+
+@given(exprs)
+@settings(max_examples=300)
+def test_pretty_matches_the_recursive_printer(e):
+    assert pretty(e) == _fmt(e, 0)
+
+
+@given(st.lists(exprs, max_size=8))
+def test_a_shared_printer_prints_as_separate_calls_do(terms):
+    show = _printer()
+    # the terms share leaf objects, and each is printed again after the rest
+    assert [show(e) for e in terms + terms] == [pretty(e) for e in terms + terms]
+
+
+def test_pretty_of_a_very_long_word_does_not_recurse():
+    assert pretty(parse("a" * 5000)) == ";".join("a" * 5000)
 
 
 @given(exprs)
