@@ -6,6 +6,7 @@ of + together with the unit laws ``0;x = x;0 = 0``, ``1;x = x;1 = x`` and
 threads output bits into sequences, and without collapsing them the set of
 derivatives modulo ACI alone grows forever (already for ``a*``).  Both laws
 preserve the language, so the quotient is a plain deterministic automaton.
+States come from :func:`~regdist.derivatives.step_nf`, not from literal terms.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .derivatives import output, step
+from .derivatives import output, step_nf
 from .syntax import Alphabet, Regex, infer_alphabet, pretty, state_normal
 
 DEFAULT_STATE_CAP = 100_000
@@ -65,31 +66,28 @@ def build(
     """Close the given expressions under letter derivatives.
 
     Breadth-first in discovery order, so state ids are stable for a given
-    input.  Raises :class:`StateLimitExceeded` once more than ``cap`` states
-    appear.
+    input; rows come from :func:`~regdist.derivatives.step_nf` with a memo
+    for this call.  Raises :class:`StateLimitExceeded` once more than ``cap``
+    states appear.
     """
     if alphabet is None:
         alphabet = infer_alphabet(*roots)
     index: dict[Regex, int] = {}
     reps: list[Regex] = []
+    memo: dict[tuple[Regex, str], Regex] = {}
 
-    def intern(e: Regex) -> int:
-        rep = state_normal(e)
-        got = index.get(rep)
-        if got is None:
-            if len(reps) >= cap:
+    def intern(rep: Regex) -> int:
+        got = index.setdefault(rep, len(reps))
+        if got == len(reps):
+            if got >= cap:
                 raise StateLimitExceeded(cap)
-            got = index[rep] = len(reps)
             reps.append(rep)
         return got
 
-    root_ids = tuple(intern(e) for e in roots)
+    root_ids = tuple(intern(state_normal(e)) for e in roots)
     transitions: list[tuple[int, ...]] = []
-    cursor = 0
-    while cursor < len(reps):
-        src = reps[cursor]
-        transitions.append(tuple(intern(step(src, a)) for a in alphabet))
-        cursor += 1
+    for src in reps:  # reps grows as the walk finds states
+        transitions.append(tuple(intern(step_nf(src, a, memo)) for a in alphabet))
     return QuotientAutomaton(
         alphabet=alphabet,
         states=tuple(reps),

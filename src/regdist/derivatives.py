@@ -8,21 +8,12 @@ simplification in this package happens in later, clearly marked places.
 
 from __future__ import annotations
 
-from .syntax import Alphabet, Letter, One, Regex, Seq, Star, Sum, Zero
+from .syntax import Alphabet, Letter, One, Regex, Seq, Star, Sum, Zero, seq_nf, sum_nf
 
 
 def output(e: Regex) -> int:
     """1 if the language of ``e`` contains the empty word, else 0."""
-    match e:
-        case Zero() | Letter(_):
-            return 0
-        case One() | Star(_):
-            return 1
-        case Sum(l, r):
-            return output(l) | output(r)
-        case Seq(l, r):
-            return output(l) & output(r)
-    raise TypeError(f"not a regex: {e!r}")
+    return e._out
 
 
 def output_bit(e: Regex) -> Regex:
@@ -44,6 +35,26 @@ def step(e: Regex, a: str) -> Regex:
         case Star(b):
             return Seq(step(b, a), e)
     raise TypeError(f"not a regex: {e!r}")
+
+
+def step_nf(e: Regex, a: str, memo: dict[tuple[Regex, str], Regex]) -> Regex:
+    """``state_normal(step(e, a))`` for a state-normal ``e``, built with
+    :func:`sum_nf` and :func:`seq_nf` from results that ``memo`` keeps."""
+    got = memo.get((e, a))
+    if got is None:
+        match e:
+            case Sum(l, r):
+                got = sum_nf(step_nf(l, a, memo), step_nf(r, a, memo))
+            case Seq(l, r):
+                got = seq_nf(step_nf(l, a, memo), r)
+                if output(l):
+                    got = sum_nf(got, step_nf(r, a, memo))
+            case Star(b):
+                got = seq_nf(step_nf(b, a, memo), e)
+            case _:
+                got = step(e, a)
+        memo[e, a] = got
+    return got
 
 
 def word_derivative(e: Regex, w: str) -> Regex:

@@ -1000,21 +1000,21 @@ def _split_loop_hypothesis(hyp: Judgement) -> tuple[Regex, Regex, Regex]:
 
 def star_unroll_proof(hyp: Judgement, n: int, cfg: Config) -> Derivation:
     """From the loop hypothesis ``g = e;g + f``, conclude ``g = e*;f``
-    within ``discount ** n``."""
+    within ``discount ** n``, unrolling from depth 0 upward."""
     g, e, f = _split_loop_hypothesis(hyp)
     closed = Seq(Star(e), f)
     if n < 0:
         raise ProofError("unrolling depth must be nonnegative")
-    if n == 0:
-        return top_rule(g, closed)
-    prev = star_unroll_proof(hyp, n - 1, cfg)
-    gstep = generalized_prefix(prev, e, cfg.discount**n, cfg)
-    s5 = sl5(gstep, refl(f))
-    c1 = sum_cong(s_assoc(e, Star(e), f), refl(f))
-    c2 = sum_cong(refl(Seq(Seq(e, Star(e)), f)), symm(one_s(f)))
-    c3 = symm(d2(Seq(e, Star(e)), One(), f))
-    c4 = seq_cong(symm(unroll(e)), refl(f))
-    return _chain(hypothesis(hyp), s5, c1, c2, c3, c4)
+    proof = top_rule(g, closed)
+    for k in range(1, n + 1):
+        gstep = generalized_prefix(proof, e, cfg.discount**k, cfg)
+        s5 = sl5(gstep, refl(f))
+        c1 = sum_cong(s_assoc(e, Star(e), f), refl(f))
+        c2 = sum_cong(refl(Seq(Seq(e, Star(e)), f)), symm(one_s(f)))
+        c3 = symm(d2(Seq(e, Star(e)), One(), f))
+        c4 = seq_cong(symm(unroll(e)), refl(f))
+        proof = _chain(hypothesis(hyp), s5, c1, c2, c3, c4)
+    return proof
 
 
 def salomaa_rule(

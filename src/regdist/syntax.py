@@ -5,11 +5,11 @@ binary sum ``e + f``, binary sequencing ``e;f`` (juxtaposition also accepted
 on input), and iteration ``e*``.  :func:`normal` quotients by associativity,
 commutativity and idempotence of ``+`` at every level, so ``a + 0`` and ``a``
 stay distinct; :func:`state_normal` adds the unit laws of 0 and 1.
+Each node carries its sort key, output, size and hash from construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 
@@ -17,36 +17,101 @@ class RegexError(ValueError):
     """Raised for malformed expression text or bad alphabet input."""
 
 
-@dataclass(frozen=True)
-class Zero:
+class _Node:
+    """An immutable node: ``__init__`` writes its slots through ``_setters``.  It
+    computes once its sort key ``_key`` (a tuple of its children's keys), output
+    ``_out``, size ``_size`` and a hash ``_hash`` of its children's hashes.
+    Equal: the same object, or equal hashes and keys."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        same_hash = isinstance(other, _Node) and self._hash == other._hash
+        return self is other or (same_hash and self._key == other._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Zero(_Node):
     """The empty language."""
+    __slots__ = ()
+    _key, _out, _size, _hash = (0,), 0, 1, hash((0,))
 
 
-@dataclass(frozen=True)
-class One:
+class One(_Node):
     """The language containing only the empty word."""
+    __slots__ = ()
+    _key, _out, _size, _hash = (1,), 1, 1, hash((1,))
 
 
-@dataclass(frozen=True)
-class Letter:
-    char: str
+class Letter(_Node):
+    __slots__ = ("char", "_key", "_hash")
+    __match_args__ = ("char",)
+    _out, _size = 0, 1
+
+    def __init__(self, char: str):
+        put_char, put_key, put_hash = self._setters
+        put_char(self, char)
+        put_key(self, (2, char))
+        put_hash(self, hash((2, char)))
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: Regex
-    right: Regex
+class Sum(_Node):
+    __slots__ = ("left", "right", "_key", "_out", "_size", "_hash")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Regex, right: Regex):
+        put_left, put_right, put_key, put_out, put_size, put_hash = self._setters
+        put_left(self, left)
+        put_right(self, right)
+        put_key(self, (5, left._key, right._key))
+        put_out(self, left._out | right._out)
+        put_size(self, 1 + left._size + right._size)
+        put_hash(self, hash((5, left._hash, right._hash)))
 
 
-@dataclass(frozen=True)
-class Seq:
-    left: Regex
-    right: Regex
+class Seq(_Node):
+    __slots__ = ("left", "right", "_key", "_out", "_size", "_hash")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Regex, right: Regex):
+        put_left, put_right, put_key, put_out, put_size, put_hash = self._setters
+        put_left(self, left)
+        put_right(self, right)
+        put_key(self, (3, left._key, right._key))
+        put_out(self, left._out & right._out)
+        put_size(self, 1 + left._size + right._size)
+        put_hash(self, hash((3, left._hash, right._hash)))
 
 
-@dataclass(frozen=True)
-class Star:
-    body: Regex
+class Star(_Node):
+    __slots__ = ("body", "_key", "_size", "_hash")
+    __match_args__ = ("body",)
+    _out = 1
+
+    def __init__(self, body: Regex):
+        put_body, put_key, put_size, put_hash = self._setters
+        put_body(self, body)
+        put_key(self, (4, body._key))
+        put_size(self, 1 + body._size)
+        put_hash(self, hash((4, body._hash)))
 
 
 Regex = Zero | One | Letter | Sum | Seq | Star
@@ -60,27 +125,19 @@ Alphabet = tuple[str, ...]
 
 def size(e: Regex) -> int:
     """Number of nodes in the syntax tree."""
-    match e:
-        case Zero() | One() | Letter(_):
-            return 1
-        case Sum(l, r) | Seq(l, r):
-            return 1 + size(l) + size(r)
-        case Star(b):
-            return 1 + size(b)
-    raise TypeError(f"not a regex: {e!r}")
+    return e._size
 
 
 def letters(e: Regex) -> frozenset[str]:
     """The set of letters occurring in ``e``."""
-    match e:
-        case Letter(c):
-            return frozenset((c,))
-        case Sum(l, r) | Seq(l, r):
-            return letters(l) | letters(r)
-        case Star(b):
-            return letters(b)
-        case _:
-            return frozenset()
+    found, todo = set(), [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Letter):
+            found.add(x.char)
+        else:
+            todo += (getattr(x, f) for f in x.__match_args__)
+    return frozenset(found)
 
 
 def make_alphabet(chars: Iterable[str]) -> Alphabet:
@@ -94,38 +151,19 @@ def make_alphabet(chars: Iterable[str]) -> Alphabet:
 
 def infer_alphabet(*exprs: Regex) -> Alphabet:
     """The sorted union of letters occurring in the given expressions."""
-    acc: frozenset[str] = frozenset()
-    for e in exprs:
-        acc |= letters(e)
-    return tuple(sorted(acc))
+    return tuple(sorted(frozenset().union(*map(letters, exprs))))
 
 
 # ---------------------------------------------------------------------------
 # Structural order and canonical forms
 
 
-SortKey = tuple
-
-
-def sort_key(e: Regex) -> SortKey:
+def sort_key(e: Regex) -> tuple:
     """Total order key: constructor tag first, then children lexicographically.
 
     Zero < One < Letter < Seq < Star < Sum, letters by character.
     """
-    match e:
-        case Zero():
-            return (0,)
-        case One():
-            return (1,)
-        case Letter(c):
-            return (2, c)
-        case Seq(l, r):
-            return (3, sort_key(l), sort_key(r))
-        case Star(b):
-            return (4, sort_key(b))
-        case Sum(l, r):
-            return (5, sort_key(l), sort_key(r))
-    raise TypeError(f"not a regex: {e!r}")
+    return e._key
 
 
 def _spine(n: Regex) -> list[Regex]:
@@ -135,6 +173,23 @@ def _spine(n: Regex) -> list[Regex]:
         out.append(n.left)
         n = n.right
     return out + [n]
+
+
+def sum_nf(x: Regex, y: Regex, units: bool = True) -> Regex:
+    """The normal form of ``x + y`` for normal ``x`` and ``y``: their summands
+    sorted and without duplicates, and without 0 when ``units`` is on."""
+    parts = sorted(dict.fromkeys(_spine(x) + _spine(y)), key=sort_key)
+    return embed(tuple(parts[1:] if units and isinstance(parts[0], Zero) else parts))
+
+
+def seq_nf(x: Regex, y: Regex) -> Regex:
+    """The state normal form of ``x;y`` for state-normal ``x`` and ``y``, by
+    ``0;y = 0``, ``y;1 = y``, ``y;0 = 0`` and ``1;y = y`` in that order."""
+    if isinstance(x, Zero) or isinstance(y, One):
+        return x
+    if isinstance(y, Zero) or isinstance(x, One):
+        return y
+    return Seq(x, y)
 
 
 def _normal(e: Regex, units: bool) -> Regex:
@@ -161,18 +216,9 @@ def _normal(e: Regex, units: bool) -> Regex:
             case Star(b) if id(b) not in done:
                 todo += (x, b)
             case Sum(l, r):
-                by_key = {sort_key(p): p for p in _spine(done[id(l)]) + _spine(done[id(r)])}
-                if units:
-                    by_key.pop(sort_key(Zero()), None)
-                done[id(x)] = embed(tuple(by_key[k] for k in sorted(by_key)))
+                done[id(x)] = sum_nf(done[id(l)], done[id(r)], units)
             case Seq(l, r):
-                nl, nr = done[id(l)], done[id(r)]
-                if units and isinstance(nr, One):
-                    done[id(x)] = nl  # y;1 = y
-                elif units and (isinstance(nr, Zero) or isinstance(nl, One)):
-                    done[id(x)] = nr  # y;0 = 0 and 1;y = y
-                else:
-                    done[id(x)] = Seq(nl, nr)
+                done[id(x)] = (seq_nf if units else Seq)(done[id(l)], done[id(r)])
             case Star(b):
                 done[id(x)] = Star(done[id(b)])
             case _:
@@ -193,9 +239,7 @@ def canonicalize(e: Regex) -> CanonicalForm:
 
 def embed(form: CanonicalForm) -> Regex:
     """Rebuild an expression from a canonical form (right-associated sums)."""
-    if not form:
-        return Zero()
-    acc = form[-1]
+    acc = form[-1] if form else Zero()
     for s in reversed(form[:-1]):
         acc = Sum(s, acc)
     return acc
@@ -221,21 +265,17 @@ _ATOM_START = set("01(") | {chr(c) for c in range(ord("a"), ord("z") + 1)}
 class _Parser:
     def __init__(self, text: str, alphabet: Alphabet | None):
         self.text = text
-        self.pos = 0
+        self.chars = "".join(text.split())  # the text without its whitespace
+        self.pos = 0  # in self.chars
         self.alphabet = alphabet
 
     def error(self, message: str) -> RegexError:
-        return RegexError(f"{message} at position {self.pos} in {self.text!r}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        # the position in the text as written: of the next character, or its end
+        where = [i for i, c in enumerate(self.text) if not c.isspace()] + [len(self.text)]
+        return RegexError(f"{message} at position {where[self.pos]} in {self.text!r}")
 
     def peek(self) -> str | None:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        return self.chars[self.pos] if self.pos < len(self.chars) else None
 
     def expr(self) -> Regex:
         acc = self.term()
@@ -246,15 +286,11 @@ class _Parser:
 
     def term(self) -> Regex:
         acc = self.factor()
-        while True:
-            c = self.peek()
+        while (c := self.peek()) is not None and (c == ";" or c in _ATOM_START):
             if c == ";":
                 self.pos += 1
-                acc = Seq(acc, self.factor())
-            elif c is not None and c in _ATOM_START:
-                acc = Seq(acc, self.factor())
-            else:
-                return acc
+            acc = Seq(acc, self.factor())
+        return acc
 
     def factor(self) -> Regex:
         acc = self.atom()
@@ -267,12 +303,9 @@ class _Parser:
         c = self.peek()
         if c is None:
             raise self.error("unexpected end of input")
-        if c == "0":
+        if c in "01":
             self.pos += 1
-            return Zero()
-        if c == "1":
-            self.pos += 1
-            return One()
+            return Zero() if c == "0" else One()
         if c == "(":
             self.pos += 1
             inner = self.expr()
@@ -323,8 +356,6 @@ def _printer() -> Callable[[Regex], str]:
         return text if level >= need else f"({text})"
 
     def show(e: Regex) -> str:
-        if id(e) in done:
-            return done[id(e)][2]
         todo = [e]
         while todo:
             x = todo.pop()

@@ -10,7 +10,7 @@ from regdist.automaton import (
     product_walk,
     to_dot,
 )
-from regdist.derivatives import step
+from regdist.derivatives import output, step
 from regdist.syntax import (
     Letter,
     One,
@@ -148,6 +148,32 @@ def test_normal_forms_match_the_fixed_point_reference():
             assert state_normal(x) == _reference_state_normal(x)
         aut = build([e], ("a", "b"))
         assert (aut.states, aut.transitions) == _reference_build(e, ("a", "b"))
+
+
+def _literal_closure(roots, alphabet):
+    """The closure as ``build`` made it before step_nf: the literal step,
+    then state_normal, interned in discovery order."""
+    index, reps, transitions = {}, [], []
+
+    def intern(x):
+        rep = state_normal(x)
+        if rep not in index:
+            index[rep] = len(reps)
+            reps.append(rep)
+        return index[rep]
+
+    roots = tuple(intern(e) for e in roots)
+    while len(transitions) < len(reps):
+        transitions.append(tuple(intern(step(reps[len(transitions)], a)) for a in alphabet))
+    return tuple(reps), tuple(output(s) for s in reps), tuple(transitions), roots
+
+
+def test_build_matches_the_literal_closure_on_the_corpus(corpus):
+    for pair in corpus:
+        aut = build([pair.left, pair.right], pair.alphabet)
+        want = _literal_closure([pair.left, pair.right], pair.alphabet)
+        assert (aut.states, aut.outputs, aut.transitions, aut.roots) == want
+        assert [pretty(s) for s in aut.states] == [pretty(s) for s in want[0]]
 
 
 def test_state_normal_of_a_long_word_does_not_recurse_per_letter():

@@ -130,6 +130,10 @@ def test_bad_input_exits_2(capsys, argv):
 
 def test_dist_on_a_very_long_word_exits_2_without_a_traceback():
     proc = run_process("dist", "a" * 500, "b")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["distance: 1/2 (0.500000)", "witness: b"]
+    # deeper terms still recurse once per level (step_nf, key comparison)
+    proc = run_process("dist", "a" * 1200, "b")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
@@ -166,16 +170,17 @@ def _star_unroll_document(spot_indices):
     }
 
 
-def test_check_of_a_deep_star_unroll_instance_exits_2_without_a_traceback(tmp_path):
+def test_check_of_a_deep_star_unroll_instance_is_valid_up_to_the_budget(tmp_path):
     target = tmp_path / "unroll.json"
-    target.write_text(json.dumps(_star_unroll_document([3])))
+    for spot in (3, 2000):
+        target.write_text(json.dumps(_star_unroll_document([spot])))
+        proc = run_process("check", str(target))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("valid:")
+    target.write_text(json.dumps(_star_unroll_document([proof.MAX_SPOT_INDEX + 1])))
     proc = run_process("check", str(target))
-    assert proc.returncode == 0, proc.stderr
-    # the unrolling recurses once per depth
-    target.write_text(json.dumps(_star_unroll_document([2000])))
-    proc = run_process("check", str(target))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert proc.returncode == 1
+    assert f"over the budget of {proof.MAX_SPOT_INDEX}" in proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
 
 

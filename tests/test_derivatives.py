@@ -1,4 +1,8 @@
+import itertools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regdist.derivatives import (
     fundamental_decomposition,
@@ -6,12 +10,14 @@ from regdist.derivatives import (
     output,
     output_bit,
     step,
+    step_nf,
     word_derivative,
 )
 from regdist.oracle import denote
-from regdist.syntax import Letter, One, Seq, Star, Sum, Zero, infer_alphabet, parse, pretty
+from regdist.syntax import Letter, One, Seq, Star, Sum, Zero, infer_alphabet, parse, pretty, state_normal
 
 from conftest import rand_expr
+from test_syntax import exprs
 
 A, B = Letter("a"), Letter("b")
 
@@ -95,3 +101,29 @@ def test_fundamental_decomposition_preserves_the_language():
 def test_fundamental_decomposition_empty_alphabet():
     assert fundamental_decomposition(Star(A), ()) == One()
     assert fundamental_decomposition(Seq(A, B), ()) == Zero()
+
+
+@given(exprs, st.sampled_from("abc"))
+@settings(max_examples=300)
+def test_step_nf_is_the_state_normal_form_of_the_literal_step(e, a):
+    n = state_normal(e)
+    assert step_nf(n, a, {}) == state_normal(step(n, a)) == state_normal(step(e, a))
+
+
+def test_step_nf_on_corpus_derivatives(corpus):
+    for pair in corpus:
+        words = ["".join(w) for n in range(4) for w in itertools.product(pair.alphabet, repeat=n)]
+        for e in (pair.left, pair.right):
+            memo = {}  # shared by all derivatives of the term, as in build
+            for word in words:
+                x = state_normal(word_derivative(e, word))
+                for a in pair.alphabet:
+                    assert step_nf(x, a, memo) == state_normal(step(x, a)), (pretty(x), a)
+
+
+def test_step_nf_spot_checks():
+    # no unit or 0 is left behind, as the literal step would leave it
+    memo = {}
+    assert step_nf(parse("a" * 300), "a", memo) == parse("a" * 299)
+    assert step_nf(parse("a" * 300), "b", memo) == Zero()
+    assert step_nf(parse("(ab)*"), "a", memo) == parse("b;(ab)*")

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from regdist.syntax import (
     size,
     sort_key,
 )
+from regdist.derivatives import output
 
 A, B, C = Letter("a"), Letter("b"), Letter("c")
 
@@ -200,3 +204,99 @@ def test_pretty_spot_checks():
     assert pretty(Seq(Sum(A, B), C)) == "(a + b);c"
     assert pretty(Sum(Seq(A, B), C)) == "a;b + c"
     assert pretty(Seq(Zero(), Star(One()))) == "0;1*"
+
+
+# Recursive definitions of the fields each node computes at construction,
+# kept as references for the cached values.
+def _key(e):
+    match e:
+        case Zero():
+            return (0,)
+        case One():
+            return (1,)
+        case Letter(c):
+            return (2, c)
+        case Seq(l, r):
+            return (3, _key(l), _key(r))
+        case Star(b):
+            return (4, _key(b))
+        case Sum(l, r):
+            return (5, _key(l), _key(r))
+
+
+def _output(e):
+    match e:
+        case Zero() | Letter(_):
+            return 0
+        case One() | Star(_):
+            return 1
+        case Sum(l, r):
+            return _output(l) | _output(r)
+        case Seq(l, r):
+            return _output(l) & _output(r)
+
+
+def _size(e):
+    match e:
+        case Sum(l, r) | Seq(l, r):
+            return 1 + _size(l) + _size(r)
+        case Star(b):
+            return 1 + _size(b)
+        case _:
+            return 1
+
+
+@given(exprs)
+def test_cached_fields_match_the_recursive_definitions(e):
+    assert sort_key(e) == _key(e)
+    assert output(e) == _output(e)
+    assert size(e) == _size(e)
+
+
+@given(exprs, exprs)
+def test_nodes_are_equal_exactly_when_their_keys_are(e, f):
+    twin = parse(pretty(e))  # equal to e, built from fresh objects
+    assert twin is not e
+    assert twin == e and hash(twin) == hash(e)
+    assert (e == f) == (sort_key(e) == sort_key(f))
+    assert (e != f) == (sort_key(e) != sort_key(f))
+    if e == f:
+        assert hash(e) == hash(f)
+
+
+def test_equal_hashes_alone_do_not_make_nodes_equal():
+    forged = Letter("b")
+    object.__setattr__(forged, "_hash", hash(A))  # a collision, by hand
+    assert hash(forged) == hash(A) and forged != A
+
+
+@given(exprs)
+def test_nodes_refuse_attribute_assignment(e):
+    for name in (*e.__match_args__, "_key", "_hash", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, Zero())
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    assert sort_key(e) == _key(e)
+
+
+@given(exprs)
+def test_copies_and_pickles_are_equal_nodes(e):
+    for again in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert type(again) is type(e)
+        assert again == e and hash(again) == hash(e) and repr(again) == repr(e)
+
+
+@given(exprs)
+def test_a_node_is_unequal_to_anything_else(e):
+    for other in (None, 0, "a", pretty(e), sort_key(e), (e,)):
+        assert (e == other) is False and (other == e) is False
+        assert e != other
+
+
+def test_nodes_keep_the_dataclass_repr_and_match_args():
+    assert repr(Sum(A, Star(Zero()))) == "Sum(left=Letter(char='a'), right=Star(body=Zero()))"
+    assert repr(Seq(One(), B)) == "Seq(left=One(), right=Letter(char='b'))"
+    assert Sum.__match_args__ == Seq.__match_args__ == ("left", "right")
+    assert (Letter.__match_args__, Star.__match_args__) == (("char",), ("body",))
+    assert Sum(left=A, right=B) == Sum(A, B)
