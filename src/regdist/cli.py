@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build, product_pairs, to_dot
 from .derivatives import fundamental_decomposition
-from .metric import Config, ExponentValue, kleene_descent, pair_count, separating_word
+from .metric import Config, ExponentValue, check_bisim, kleene_descent, pair_count, separating_word
 from .oracle import brute_distance
 from .proof import (
     DEFAULT_SPOT_CHECKS,
@@ -194,16 +194,19 @@ def cmd_dist(args: argparse.Namespace) -> int:
                 )
                 print(f"step {i}: {cells or '(no pairs)'}")
     if args.verify:
-        # Equal: no separating word is longer than the pair count.  Apart: a
-        # witness that is too long or does not separate still mismatches.
-        bound = len(product_pairs(aut, s, t)) if w is None else len(w)
-        reference = brute_distance(e, f, alphabet, bound, cfg.discount)
-        if reference != dist:
-            print(
-                f"verification mismatch: the product walk gives {dist},"
-                f" enumeration up to length {bound} gives {reference}",
-                file=sys.stderr,
-            )
+        # Equal: the reachable pairs must form a bisimulation under literal
+        # derivatives, which proves the languages equal.  Apart: a witness
+        # that is too long or does not separate mismatches.
+        if w is None:
+            rel = [(aut.states[i], aut.states[j]) for i, j in product_pairs(aut, s, t) if i != j]
+            ok = check_bisim(rel, e, f, alphabet)
+            found = f"but its {len(rel)} reachable pairs are not a bisimulation"
+        else:
+            reference = brute_distance(e, f, alphabet, len(w), cfg.discount)
+            ok = reference == dist
+            found = f"enumeration up to length {len(w)} gives {reference}"
+        if not ok:
+            print(f"verification mismatch: the product walk gives {dist}, {found}", file=sys.stderr)
             return EXIT_MISMATCH
     return EXIT_OK
 
@@ -355,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check against brute-force enumeration (exit 3 on mismatch)",
+        help="cross-check by enumeration, or by a bisimulation when equal (exit 3 on mismatch)",
     )
     p.set_defaults(func=cmd_dist)
 

@@ -9,8 +9,10 @@ rationals only enter when a value is extracted.
 
 :func:`kleene_descent` is the paper's fixed point reference: it iterates the
 one-step operator over all pairs and backs ``dist --trace`` and the
-``iterations`` count.  It works on exponents too; rational values come out
-of a table through :meth:`ExponentValue.value`.
+``iterations`` count.  It builds the pair graph once and, after the first
+step, re-evaluates only the pairs whose successors moved.  It works on
+exponents too; rational values come out of a table through
+:meth:`ExponentValue.value`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .automaton import (
     DEFAULT_STATE_CAP,
@@ -89,54 +91,19 @@ DIST_TOP = ExponentValue(0)
 Table = dict[tuple[int, int], ExponentValue]
 
 
-def _all_pairs(n: int) -> Iterator[tuple[int, int]]:
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield (i, j)
-
-
 def pair_count(n: int) -> int:
     """Number of off-diagonal unordered pairs among ``n`` states."""
     return n * (n - 1) // 2
-
-
-def top_table(aut: QuotientAutomaton) -> Table:
-    """The everywhere-1 table, the greatest pseudometric under consideration."""
-    return {p: DIST_TOP for p in _all_pairs(aut.n_states)}
-
-
-def phi(aut: QuotientAutomaton, table: Table) -> Table:
-    """One step of the behavioural-distance operator, on exponents.
-
-    A pair with disagreeing outputs maps to 1; otherwise to the discount
-    times the largest current distance among same-letter successor pairs
-    (diagonal successors contribute 0).
-    """
-    out: Table = {}
-    for (i, j), _ in table.items():
-        if aut.outputs[i] != aut.outputs[j]:
-            out[(i, j)] = DIST_TOP
-            continue
-        best: int | None = None
-        for k in range(len(aut.alphabet)):
-            di = aut.transitions[i][k]
-            dj = aut.transitions[j][k]
-            if di == dj:
-                continue
-            succ = table[(min(di, dj), max(di, dj))]
-            if succ.exponent is not None and (best is None or succ.exponent < best):
-                best = succ.exponent
-        out[(i, j)] = DIST_ZERO if best is None else ExponentValue(best + 1)
-    return out
 
 
 @dataclass(frozen=True)
 class DescentResult:
     """Outcome of the descending fixed point iteration.
 
-    ``trace[0]`` is the top table and ``trace[i+1] = phi(trace[i])``; when the
-    iteration goes stationary the repeated table is kept in the trace.  The
-    final ``table`` maps pairs that never separate to the exact value 0.
+    ``trace[0]`` is the top table and ``trace[i+1]`` one step on from
+    ``trace[i]``; when the iteration goes stationary the repeated table is
+    kept in the trace.  The final ``table`` maps pairs that never separate to
+    the exact value 0.
     """
 
     table: Table
@@ -145,36 +112,66 @@ class DescentResult:
 
 
 def kleene_descent(aut: QuotientAutomaton) -> DescentResult:
-    """Iterate ``phi`` from the top table until stationary.
+    """Iterate the one-step operator from the top table until stationary.
+
+    One step maps a pair with disagreeing outputs to exponent 0, and any
+    other to one more than the least exponent among its same-letter successor
+    pairs (None when every successor is diagonal or None).  The pair graph,
+    built once, evaluates the first step; a later step re-evaluates only the
+    pairs with a successor that moved in the step before, as every other
+    pair's value repeats.
 
     A shortest separating word never revisits an unordered state pair, so
     separable pairs settle within ``pair_count(n)`` steps and the iteration
     is cut off there.  Pairs still carrying the cut-off exponent at that
     point can never separate and are mapped to 0.
     """
-    cap = pair_count(aut.n_states)
-    cur = top_table(aut)
-    trace = [cur]
+    n = aut.n_states
+    cap = pair_count(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    base = [u * (2 * n - u - 3) // 2 - 1 for u in range(n)]  # (u, v) is pairs[base[u] + v]
+    none = cap + 1  # the exponent None, above every exponent the iteration reaches
+    outputs, rows = aut.outputs, aut.transitions
+    succs: list[list[int]] = []
+    preds: list[list[int]] = [[] for _ in pairs]
+    exps: list[int] = []  # the first step, evaluated on the top table
+    for p, (i, j) in enumerate(pairs):
+        out: list[int] = []
+        if outputs[i] == outputs[j]:
+            for u, v in zip(rows[i], rows[j]):
+                if u != v:
+                    q = base[u] + v if u < v else base[v] + u
+                    if q not in out:
+                        out.append(q)
+                        preds[q].append(p)
+        succs.append(out)
+        exps.append(0 if outputs[i] != outputs[j] else 1 if out else none)
+    evs = {0: DIST_TOP, none: DIST_ZERO}  # one shared value per exponent
+    trace = [dict.fromkeys(pairs, DIST_TOP)]
+    changed = [p for p, e in enumerate(exps) if e]
     iterations = 0
-    stationary = False
     while iterations < cap:
-        nxt = phi(aut, cur)
-        trace.append(nxt)
         iterations += 1
-        if nxt == cur:
-            stationary = True
+        evs[iterations] = ExponentValue(iterations)
+        if iterations > 1:
+            dirty = {p for q in changed for p in preds[q]}
+            new = {p: min(min([exps[q] for q in succs[p]]) + 1, none) for p in dirty}
+            changed = [p for p in dirty if new[p] != exps[p]]
+            for p in changed:
+                exps[p] = new[p]
+        table = dict(trace[-1])
+        for p in changed:
+            table[pairs[p]] = evs[exps[p]]
+        trace.append(table)
+        if not changed:
             break
-        cur = nxt
     table = dict(trace[-1])
-    if not stationary:
-        # The cut-off exponent alone marks the pairs that never separate: an
-        # inseparable pair holds None or exactly the iteration count, while a
-        # separable pair has settled at its true exponent, which is at most
-        # cap - 1 because its shortest separating word visits distinct
-        # off-diagonal pairs.
-        for p, ev in table.items():
-            if ev.exponent == iterations:
-                table[p] = DIST_ZERO
+    if changed:
+        # Cut off before going stationary.  An inseparable pair holds None or
+        # exactly the iteration count, reached in the last step; a separable
+        # pair has settled at its true exponent, at most cap - 1, because its
+        # shortest separating word visits distinct off-diagonal pairs.
+        table.update((pairs[p], DIST_ZERO) for p in changed if exps[p] == iterations)
     return DescentResult(table=table, trace=tuple(trace), iterations=iterations)
 
 

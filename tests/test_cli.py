@@ -9,7 +9,11 @@ import pytest
 import regdist
 from regdist import automaton, cli, metric, proof
 from regdist.cli import main
+from regdist.derivatives import output
 from regdist.proof import diagnose_certificate, from_json
+from regdist.syntax import One, Sum, parse
+
+from descent_reference import kleene_descent as reference_descent
 
 
 def run(capsys, *argv):
@@ -102,6 +106,62 @@ def test_dist_verify_bounds_the_enumeration_by_the_witness(capsys, monkeypatch):
         code, _, err = run(capsys, "dist", left, right, "--verify")
         assert code == 3
         assert "the product walk gives" in err
+
+
+@pytest.mark.parametrize(
+    "left,right,head",
+    [
+        ("a*", "a+1", ["distance: 1/4 (0.250000)", "witness: aa"]),
+        ("(a+b)*", "(a*;b*)*", ["distance: 0 (0.00000)", "witness: -"]),
+        ("(aaaa)*", "(aaaa)*;(aaaa)*", ["distance: 0 (0.00000)", "witness: -"]),
+    ],
+)
+def test_dist_trace_prints_the_reference_descent(capsys, left, right, head):
+    aut = automaton.build([parse(left), parse(right)])
+    ref = reference_descent(aut)
+    n = aut.n_states
+    want = head + [f"states: {n}  pairs: {n * (n - 1) // 2}  iterations: {ref.iterations}"]
+    for i, table in enumerate(ref.trace):
+        cells = ", ".join(
+            f"({a},{b})={'inf' if ev.exponent is None else ev.exponent}" for (a, b), ev in sorted(table.items())
+        )
+        want.append(f"step {i}: {cells or '(no pairs)'}")
+    code, out, _ = run(capsys, "dist", left, right, "--trace")
+    assert code == 0
+    assert [line for line in out.splitlines() if not line.startswith("time:")] == want
+
+
+def _ab_star_pair(k):
+    x = "(" + "(a+b)" * k + ")*"
+    return x, x + ";" + x
+
+
+def test_dist_verify_checks_a_bisimulation_when_equal(capsys):
+    # Enumerating every word up to the count of reachable pairs (21) over
+    # two letters does not finish; checking that they form a bisimulation does.
+    code, out, _ = run(capsys, "dist", *_ab_star_pair(20), "--verify")
+    assert code == 0
+    assert "witness: -" in out
+
+
+def _drop_a_pair(rel):
+    return rel[:-1]
+
+
+def _flip_an_output(rel):
+    k = next(k for k, (u, _) in enumerate(rel) if not output(u))
+    return rel[:k] + [(Sum(rel[k][0], One()), rel[k][1])] + rel[k + 1 :]
+
+
+@pytest.mark.parametrize("patch", [_drop_a_pair, _flip_an_output])
+def test_dist_verify_mismatches_on_a_patched_relation(capsys, monkeypatch, patch):
+    def patched(rel, e, f, alphabet):
+        return metric.check_bisim(patch(list(rel)), e, f, alphabet)
+
+    monkeypatch.setattr(cli, "check_bisim", patched)
+    code, _, err = run(capsys, "dist", *_ab_star_pair(20), "--verify")
+    assert code == 3
+    assert "are not a bisimulation" in err
 
 
 def test_dist_dot_output(capsys, tmp_path):

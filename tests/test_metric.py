@@ -21,6 +21,7 @@ from regdist.oracle import brute_distance, brute_witness
 from regdist.syntax import Letter, One, parse
 
 from conftest import rand_expr
+from descent_reference import kleene_descent as reference_descent
 from rational_tables import phi_rational, sup_distance, table_values
 
 HALF = Fraction(1, 2)
@@ -78,6 +79,65 @@ def test_descent_rewrites_inseparable_pairs_to_zero():
     res = kleene_descent(aut)
     assert all(ev == DIST_ZERO for ev in res.table.values())
     assert res.iterations == pair_count(aut.n_states)
+
+
+def _star_pair(n):
+    x = "(" + "a" * n + ")*"
+    return [parse(x), parse(x + ";" + x)], ("a",)
+
+
+DESCENT_CASES = {
+    **{f"equal-closure-{n}": _star_pair(n) for n in (4, 8, 12, 16)},
+    "cut-off": ([parse("(a+b)*"), parse("(a*;b*)*")], ("a", "b")),
+    "one-state": ([parse("a*"), parse("a*;1")], ("a",)),
+    "running": ([parse("a*"), parse("a+1")], ("a",)),
+}
+
+
+def _assert_steps_are_phi(aut, res):
+    cfg = Config()
+    vals = [table_values(t, cfg) for t in res.trace]
+    for earlier, later in zip(vals, vals[1:]):
+        assert later == phi_rational(aut, earlier, cfg)
+
+
+def test_descent_matches_the_reference_on_the_corpus(corpus):
+    for pair in corpus:
+        aut = build([pair.left, pair.right], pair.alphabet)
+        res = kleene_descent(aut)
+        assert res == reference_descent(aut)
+        _assert_steps_are_phi(aut, res)
+
+
+@pytest.mark.parametrize("case", sorted(DESCENT_CASES))
+def test_descent_matches_the_reference(case):
+    aut = build(*DESCENT_CASES[case])
+    res = kleene_descent(aut)
+    want = reference_descent(aut)
+    assert res == want
+    assert len(res.trace) == res.iterations + 1
+    # tables are distinct objects, also the repeated last one
+    assert len({id(t) for t in res.trace}) == len(res.trace)
+    if aut.n_states <= 25:  # the rational check is slow at equal-closure 16
+        _assert_steps_are_phi(aut, res)
+
+
+def test_descent_cases_cover_one_state_the_cut_off_and_a_stationary_end():
+    aut = build(*DESCENT_CASES["one-state"])
+    assert aut.n_states == 1
+    res = kleene_descent(aut)
+    assert (res.table, res.trace, res.iterations) == ({}, ({},), 0)
+    aut = build(*DESCENT_CASES["cut-off"])
+    assert kleene_descent(aut).iterations == pair_count(aut.n_states)
+    aut = build(*DESCENT_CASES["running"])
+    res = kleene_descent(aut)
+    assert res.iterations < pair_count(aut.n_states) and res.trace[-1] == res.trace[-2]
+
+
+def test_descent_figures_for_equal_closure_16():
+    aut = build(*DESCENT_CASES["equal-closure-16"])
+    res = kleene_descent(aut)
+    assert (aut.n_states, res.iterations) == (33, 528)
 
 
 def test_separation_exponents():
