@@ -11,7 +11,6 @@ from .syntax import (
     Star,
     Sum,
     Zero,
-    canonicalize,
     embed,
     parse,
     pretty,
@@ -35,7 +34,6 @@ __all__ = [
     "Zero",
     "bisim_closure",
     "build",
-    "canonicalize",
     "check_bisim",
     "distance",
     "embed",

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build, product_pairs, to_dot
 from .derivatives import fundamental_decomposition
-from .metric import Config, ExponentValue, check_bisim, kleene_descent, pair_count, separating_word
-from .oracle import brute_distance
+from .metric import Config, ExponentValue, check_bisim, check_witness, kleene_descent, pair_count, separating_word
 from .proof import (
     DEFAULT_SPOT_CHECKS,
     Certificate,
@@ -131,11 +130,13 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_STATE_CAP,
         metavar="N",
-        help=f"state cap for the derivative closure (default {DEFAULT_STATE_CAP})",
+        help=f"state cap for the derivative closure, at least 1 (default {DEFAULT_STATE_CAP})",
     )
 
 
 def _setup(args: argparse.Namespace) -> tuple[Config, Alphabet | None]:
+    if args.cap < 1:
+        raise ValueError(f"state cap must be at least 1, got {args.cap}")
     cfg = Config(discount=_parse_discount(args.discount))
     alphabet = make_alphabet(args.alphabet) if args.alphabet is not None else None
     return cfg, alphabet
@@ -194,17 +195,17 @@ def cmd_dist(args: argparse.Namespace) -> int:
                 )
                 print(f"step {i}: {cells or '(no pairs)'}")
     if args.verify:
-        # Equal: the reachable pairs must form a bisimulation under literal
-        # derivatives, which proves the languages equal.  Apart: a witness
-        # that is too long or does not separate mismatches.
+        # Both checks use literal derivatives, not the automaton's transitions.
+        # Equal: the reachable pairs must form a bisimulation, which proves the
+        # languages equal.  Apart: the witness must separate them, and no pair
+        # reached by a shorter word may.
         if w is None:
             rel = [(aut.states[i], aut.states[j]) for i, j in product_pairs(aut, s, t) if i != j]
             ok = check_bisim(rel, e, f, alphabet)
             found = f"but its {len(rel)} reachable pairs are not a bisimulation"
         else:
-            reference = brute_distance(e, f, alphabet, len(w), cfg.discount)
-            ok = reference == dist
-            found = f"enumeration up to length {len(w)} gives {reference}"
+            ok = check_witness(e, f, w, alphabet)
+            found = f"but {_render_witness(w)} is not a shortest separating word"
         if not ok:
             print(f"verification mismatch: the product walk gives {dist}, {found}", file=sys.stderr)
             return EXIT_MISMATCH
@@ -358,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check by enumeration, or by a bisimulation when equal (exit 3 on mismatch)",
+        help="cross-check with literal derivatives: the witness, or a bisimulation when equal (exit 3 on mismatch)",
     )
     p.set_defaults(func=cmd_dist)
 

@@ -8,7 +8,7 @@ simplification in this package happens in later, clearly marked places.
 
 from __future__ import annotations
 
-from .syntax import Alphabet, Letter, One, Regex, Seq, Star, Sum, Zero, seq_nf, sum_nf
+from .syntax import Alphabet, Letter, One, Regex, Seq, Star, Sum, Zero, seq_nf, state_normal, sum_nf
 
 
 def output(e: Regex) -> int:
@@ -65,8 +65,11 @@ def word_derivative(e: Regex, w: str) -> Regex:
 
 
 def member(e: Regex, w: str) -> bool:
-    """Whether ``w`` belongs to the language of ``e``."""
-    return output(word_derivative(e, w)) == 1
+    """Whether ``w`` belongs to the language of ``e``: each letter's literal
+    step is normalized, as the literal word derivative can double per letter."""
+    for ch in w:
+        e = state_normal(step(e, ch))
+    return output(e) == 1
 
 
 def fundamental_decomposition(e: Regex, alphabet: Alphabet) -> Regex:

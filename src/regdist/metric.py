@@ -28,10 +28,9 @@ from .automaton import (
     build,
     product_pairs,
     product_walk,
-    state_normal,
 )
-from .derivatives import output, step
-from .syntax import Alphabet, Regex, infer_alphabet, sort_key
+from .derivatives import member, output, step
+from .syntax import Alphabet, Regex, infer_alphabet, sort_key, state_normal
 
 
 @dataclass(frozen=True)
@@ -259,6 +258,28 @@ def check_bisim(
             du, dv = _unordered(step(u, a), step(v, a))
             if du != dv and (du, dv) not in rel:
                 return False
+    return True
+
+
+def check_witness(e: Regex, f: Regex, word: str, alphabet: Alphabet | None = None) -> bool:
+    """Is ``word`` a shortest word in exactly one of the languages of e and f?
+
+    ``word`` must separate them by :func:`~regdist.derivatives.member`, and
+    every pair reached from (e, f) in fewer than ``len(word)`` synchronized
+    literal steps, up to normalization, must agree on output.  Each distinct
+    pair is stepped once.
+    """
+    if member(e, word) == member(f, word):
+        return False
+    if alphabet is None:
+        alphabet = infer_alphabet(e, f)
+    level = {_unordered(e, f)}
+    seen = set(level)
+    for _ in word:
+        if any(output(u) != output(v) for u, v in level):
+            return False
+        level = {_unordered(step(u, a), step(v, a)) for u, v in level for a in alphabet} - seen
+        seen |= level
     return True
 
 

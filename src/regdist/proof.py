@@ -33,12 +33,12 @@ from .syntax import (
     Star,
     Sum,
     Zero,
-    canonicalize,
     infer_alphabet,
     letters,
     parse,
     pretty,
     sort_key,
+    state_normal,
     _printer,
 )
 
@@ -696,15 +696,14 @@ def diagnose_certificate(
 # Zero-bound normalization, derived in the pass that computes the normal form
 
 
-def _normalizing(e: Regex, units: bool) -> Derivation:
-    """Derivation of ``e = normal(e)`` at bound 0, or with ``units`` of
-    ``e = state_normal(e)``.
+def normalization_proof(e: Regex) -> Derivation:
+    """Derivation of ``e = state_normal(e)`` at bound 0.
 
-    The twin of :func:`regdist.syntax._normal`: the same work list, and each
-    step justified by the rule behind it.  A sum is congruence, then the
-    ordered merge (SL1-SL3), or with ``units`` SL2 and SL4 dropping a 0
-    child; a sequence is congruence, then ZeroS, S1, S0 or OneS in
-    ``_normal``'s order; a star is congruence.  An unchanged subterm is Refl.
+    The twin of :func:`regdist.syntax.state_normal`: the same work list, and
+    each step justified by the rule behind it.  A sum is congruence, then SL2
+    and SL4 dropping a 0 child or else the ordered merge (SL1-SL3); a
+    sequence is congruence, then ZeroS, S1, S0 or OneS in ``state_normal``'s
+    order; a star is congruence.  An unchanged subterm is Refl.
     """
     done: dict[int, Derivation] = {}
     todo = [e]
@@ -713,9 +712,9 @@ def _normalizing(e: Regex, units: bool) -> Derivation:
         if id(x) in done:
             continue
         match x:
-            case Seq(l, r) if units and id(l) not in done:
+            case Seq(l, r) if id(l) not in done:
                 todo += (x, l)
-            case Seq(l, r) if units and isinstance(done[id(l)].right, Zero):
+            case Seq(l, r) if isinstance(done[id(l)].right, Zero):
                 # 0;y = 0, without visiting y
                 done[id(x)] = _then(_congruence(x, seq_cong, done[id(l)], refl(r)), zero_s(r))
             case Sum(l, r) | Seq(l, r) if id(l) not in done or id(r) not in done:
@@ -725,9 +724,9 @@ def _normalizing(e: Regex, units: bool) -> Derivation:
             case Sum(l, r):
                 dl, dr = done[id(l)], done[id(r)]
                 nl, nr = dl.right, dr.right
-                if units and isinstance(nr, Zero):
+                if isinstance(nr, Zero):
                     merge = sl4(nl)  # x + 0 = x
-                elif units and isinstance(nl, Zero):
+                elif isinstance(nl, Zero):
                     merge = triang(sl2(nl, nr), sl4(nr))  # 0 + y = y + 0 = y
                 else:
                     merge = _merge_sorted(nl, nr)
@@ -736,11 +735,11 @@ def _normalizing(e: Regex, units: bool) -> Derivation:
                 dl, dr = done[id(l)], done[id(r)]
                 nl, nr = dl.right, dr.right
                 d = _congruence(x, seq_cong, dl, dr)
-                if units and isinstance(nr, One):
+                if isinstance(nr, One):
                     d = _then(d, s_one(nl))  # y;1 = y
-                elif units and isinstance(nr, Zero):
+                elif isinstance(nr, Zero):
                     d = _then(d, s_zero(nl))  # y;0 = 0
-                elif units and isinstance(nl, One):
+                elif isinstance(nl, One):
                     d = _then(d, one_s(nr))  # 1;y = y
                 done[id(x)] = d
             case Star(b):
@@ -757,7 +756,7 @@ def _congruence(x: Regex, cong: Callable[..., Derivation], *parts: Derivation) -
 
 
 def _merge_sorted(x: Regex, y: Regex) -> Derivation:
-    """``x + y = normal(x + y)`` for already-normal ``x`` and ``y``."""
+    """``x + y = state_normal(x + y)`` for state-normal ``x`` and ``y``, neither 0."""
     if not isinstance(x, Sum):
         return _insert_sorted(x, y)
     h, t = x.left, x.right
@@ -771,7 +770,7 @@ def _merge_sorted(x: Regex, y: Regex) -> Derivation:
 
 
 def _insert_sorted(s: Regex, y: Regex) -> Derivation:
-    """``s + y = normal(s + y)`` for a single normal summand ``s`` and normal ``y``."""
+    """``s + y = state_normal(s + y)`` for a summand ``s`` and a state-normal ``y``."""
     if not isinstance(y, Sum):
         if s == y:
             return sl1(s)
@@ -794,21 +793,14 @@ def _insert_sorted(s: Regex, y: Regex) -> Derivation:
 
 
 def aci_bridge(x: Regex, y: Regex) -> Derivation:
-    """``x = y`` at bound 0, for ACI-equivalent expressions: both sides
-    normalized with units off, meeting at their common normal form."""
+    """``x = y`` at bound 0, for expressions equal up to ACI of + and the
+    unit laws: both sides normalized, meeting at their common normal form."""
     if x == y:
         return refl(x)
-    dx, dy = _normalizing(x, False), _normalizing(y, False)
+    dx, dy = normalization_proof(x), normalization_proof(y)
     if dx.right != dy.right:
-        raise ProofError(
-            f"{pretty(x)} and {pretty(y)} are not equal up to sum reordering"
-        )
+        raise ProofError(f"{pretty(x)} and {pretty(y)} have different normal forms")
     return _chain(dx, symm(dy))
-
-
-def normalization_proof(e: Regex) -> Derivation:
-    """Derivation of ``e = state_normal(e)`` at bound 0."""
-    return _normalizing(e, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1201,7 +1193,8 @@ def synthesize(
 
     Raises :class:`SynthesisFailure` when ``epsilon`` undercuts the actual
     distance; in all other cases the certificate's bound is ``epsilon``
-    itself (distance zero at bound zero uses a descent template).
+    itself (a chain of bound-0 rules when ``state_normal`` equates the two,
+    else a descent template for distance zero at bound zero).
     """
     cfg = cfg or Config()
     epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
@@ -1209,7 +1202,7 @@ def synthesize(
         raise ValueError(f"negative bound {epsilon}")
     if spot_checks < 1:
         raise ValueError(f"spot checks must be at least 1, got {spot_checks}")
-    if canonicalize(e) == canonicalize(f):
+    if state_normal(e) == state_normal(f):
         return Certificate(cfg, weaken_to(aci_bridge(e, f), epsilon))
     if alphabet is None:
         alphabet = infer_alphabet(e, f)

@@ -2,9 +2,9 @@
 
 Expressions are built from the constants 0 and 1, single lowercase letters,
 binary sum ``e + f``, binary sequencing ``e;f`` (juxtaposition also accepted
-on input), and iteration ``e*``.  :func:`normal` quotients by associativity,
-commutativity and idempotence of ``+`` at every level, so ``a + 0`` and ``a``
-stay distinct; :func:`state_normal` adds the unit laws of 0 and 1.
+on input), and iteration ``e*``.  :func:`state_normal` quotients by
+associativity, commutativity and idempotence of ``+`` at every level together
+with the unit laws of 0 and 1.
 Each node carries its sort key, output, size and hash from construction.
 """
 
@@ -116,10 +116,6 @@ class Star(_Node):
 
 Regex = Zero | One | Letter | Sum | Seq | Star
 
-#: A canonical form is the sorted, deduplicated tuple of normalized summands.
-#: The empty tuple represents the expression 0.
-CanonicalForm = tuple[Regex, ...]
-
 Alphabet = tuple[str, ...]
 
 
@@ -155,7 +151,7 @@ def infer_alphabet(*exprs: Regex) -> Alphabet:
 
 
 # ---------------------------------------------------------------------------
-# Structural order and canonical forms
+# Structural order and normal forms
 
 
 def sort_key(e: Regex) -> tuple:
@@ -175,11 +171,11 @@ def _spine(n: Regex) -> list[Regex]:
     return out + [n]
 
 
-def sum_nf(x: Regex, y: Regex, units: bool = True) -> Regex:
-    """The normal form of ``x + y`` for normal ``x`` and ``y``: their summands
-    sorted and without duplicates, and without 0 when ``units`` is on."""
+def sum_nf(x: Regex, y: Regex) -> Regex:
+    """The state normal form of ``x + y`` for state-normal ``x`` and ``y``:
+    their summands sorted, without duplicates and without 0."""
     parts = sorted(dict.fromkeys(_spine(x) + _spine(y)), key=sort_key)
-    return embed(tuple(parts[1:] if units and isinstance(parts[0], Zero) else parts))
+    return embed(tuple(parts[1:] if isinstance(parts[0], Zero) else parts))
 
 
 def seq_nf(x: Regex, y: Regex) -> Regex:
@@ -192,13 +188,14 @@ def seq_nf(x: Regex, y: Regex) -> Regex:
     return Seq(x, y)
 
 
-def _normal(e: Regex, units: bool) -> Regex:
-    """:func:`normal` of ``e``, or with ``units`` :func:`state_normal` of ``e``.
+def state_normal(e: Regex) -> Regex:
+    """The representative of ``e`` modulo ACI of + and the unit laws
+    ``0;x = x;0 = 0``, ``1;x = x;1 = x`` and ``x + 0 = x``.
 
-    Bottom-up, once per distinct subterm object, left child first; with
-    ``units``, the right factor of a sequence whose left factor normalizes
-    to 0 is never visited.  ``e`` keeps every subterm alive, so no id in
-    ``done`` is reused during the call.
+    Bottom-up, once per distinct subterm object, left child first; the right
+    factor of a sequence whose left factor normalizes to 0 is never visited.
+    ``e`` keeps every subterm alive, so no id in ``done`` is reused during
+    the call.
     """
     done: dict[int, Regex] = {}
     todo = [e]
@@ -207,18 +204,18 @@ def _normal(e: Regex, units: bool) -> Regex:
         if id(x) in done:
             continue
         match x:
-            case Seq(l, r) if units and id(l) not in done:
+            case Seq(l, r) if id(l) not in done:
                 todo += (x, l)
-            case Seq(l, r) if units and isinstance(done[id(l)], Zero):
+            case Seq(l, r) if isinstance(done[id(l)], Zero):
                 done[id(x)] = done[id(l)]  # 0;y = 0, without visiting y
             case Sum(l, r) | Seq(l, r) if id(l) not in done or id(r) not in done:
                 todo += (x, r, l)
             case Star(b) if id(b) not in done:
                 todo += (x, b)
             case Sum(l, r):
-                done[id(x)] = sum_nf(done[id(l)], done[id(r)], units)
+                done[id(x)] = sum_nf(done[id(l)], done[id(r)])
             case Seq(l, r):
-                done[id(x)] = (seq_nf if units else Seq)(done[id(l)], done[id(r)])
+                done[id(x)] = seq_nf(done[id(l)], done[id(r)])
             case Star(b):
                 done[id(x)] = Star(done[id(b)])
             case _:
@@ -226,34 +223,12 @@ def _normal(e: Regex, units: bool) -> Regex:
     return done[id(e)]
 
 
-def canonicalize(e: Regex) -> CanonicalForm:
-    """Canonical form of ``e`` modulo associativity/commutativity/idempotence of +.
-
-    The summands of :func:`normal`: flattened, with nested subterms normalized
-    the same way, sorted by :func:`sort_key` and deduplicated.  ``(0,)`` is
-    identified with the empty form; a 0 beside other summands is kept.
-    """
-    n = normal(e)
-    return () if isinstance(n, Zero) else tuple(_spine(n))
-
-
-def embed(form: CanonicalForm) -> Regex:
-    """Rebuild an expression from a canonical form (right-associated sums)."""
+def embed(form: tuple[Regex, ...]) -> Regex:
+    """Rebuild an expression from its summands (right-associated; () is 0)."""
     acc = form[-1] if form else Zero()
     for s in reversed(form[:-1]):
         acc = Sum(s, acc)
     return acc
-
-
-def normal(e: Regex) -> Regex:
-    """The canonical representative of ``e`` modulo ACI of + (at every level)."""
-    return _normal(e, False)
-
-
-def state_normal(e: Regex) -> Regex:
-    """The representative of ``e`` modulo ACI of + and the unit laws
-    ``0;x = x;0 = 0``, ``1;x = x;1 = x`` and ``x + 0 = x``."""
-    return _normal(e, True)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,8 @@ def test_dist_verify(capsys):
 
 
 def test_dist_verify_bounds_the_enumeration_by_the_witness(capsys, monkeypatch):
-    # 72 product pairs are reachable: enumerating words up to that length
-    # over two letters does not finish, but the witness has 8 letters.
+    # 72 product pairs are reachable; the witness has 8 letters, and only the
+    # pairs reached by shorter words are checked.
     left, right = "(" + "(a+b)" * 8 + ")*", "(" + "(a+b)" * 9 + ")*"
     code, out, _ = run(capsys, "dist", left, right, "--verify")
     assert code == 0
@@ -106,6 +106,20 @@ def test_dist_verify_bounds_the_enumeration_by_the_witness(capsys, monkeypatch):
         code, _, err = run(capsys, "dist", left, right, "--verify")
         assert code == 3
         assert "the product walk gives" in err
+
+
+def test_dist_verify_checks_a_long_witness_without_enumerating(capsys, monkeypatch):
+    # Enumerating every word up to the witness's 20 letters over two letters
+    # does not finish; stepping the pairs reached by shorter words does.
+    left, right = "(" + "(a+b)" * 20 + ")*", "(" + "(a+b)" * 21 + ")*"
+    code, out, _ = run(capsys, "dist", left, right, "--verify")
+    assert code == 0
+    assert "witness: " + "a" * 20 in out
+    for wrong in ("a" * 19, "a" * 21):
+        monkeypatch.setattr(cli, "separating_word", lambda aut, s, t: wrong)
+        code, _, err = run(capsys, "dist", left, right, "--verify")
+        assert code == 3
+        assert "is not a shortest separating word" in err
 
 
 @pytest.mark.parametrize(
@@ -180,12 +194,14 @@ def test_dist_dot_output(capsys, tmp_path):
         ("dist", "a*", "a+1", "--lambda", "zebra"),
         ("dist", "a*", "b", "--alphabet", "a"),
         ("prove", "a*", "a+1", "not-a-number"),
+        ("dist", "a", "b", "--cap", "0"),
+        ("dist", "a", "b", "--cap", "-1"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "error:" in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_dist_on_a_very_long_word_exits_2_without_a_traceback():
@@ -209,6 +225,37 @@ def test_check_of_a_deep_descent_instance_is_valid(capsys, tmp_path):
     proc = run_process("check", str(target))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("valid:")
+
+
+# What ``prove 'a + 0' a 0`` wrote before pairs with the same state normal
+# form got a direct bound-0 chain: a descent template.
+_A_PLUS_ZERO_DESCENT = {
+    "version": 1,
+    "lambda": "1/2",
+    "hypotheses": [],
+    "root": {
+        "rule": "ContTemplate",
+        "conclusion": {"left": "a + 0", "right": "a", "eps": "0"},
+        "premises": [],
+        "meta": {
+            "schema": "descent",
+            "params": {"left": "a + 0", "right": "a"},
+            "spot_indices": [0, 1, 2, 3, 4, 5, 6, 7, 8],
+        },
+    },
+}
+
+
+def test_prove_of_a_unit_equal_pair_needs_no_template(capsys, tmp_path):
+    target = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "prove", "a + 0", "a", "0", "-o", str(target))
+    assert code == 0
+    assert "ContTemplate" not in target.read_text()
+    code, out, _ = run(capsys, "check", str(target))
+    assert (code, out.strip()) == (0, "valid: a + 0 = a within 0")
+    target.write_text(json.dumps(_A_PLUS_ZERO_DESCENT))
+    code, out, _ = run(capsys, "check", str(target))
+    assert (code, out.strip()) == (0, "valid: a + 0 = a within 0")
 
 
 def _star_unroll_document(spot_indices):

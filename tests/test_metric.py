@@ -11,6 +11,7 @@ from regdist.metric import (
     ExponentValue,
     bisim_closure,
     check_bisim,
+    check_witness,
     distance,
     kleene_descent,
     pair_count,
@@ -173,6 +174,22 @@ def test_witness_agrees_with_enumeration(corpus):
     for pair in corpus[:150]:
         w = witness(pair.left, pair.right, pair.alphabet)
         assert w == brute_witness(pair.left, pair.right, pair.alphabet, pair.bound)
+
+
+def test_check_witness_accepts_exactly_the_shortest_separating_words(corpus):
+    checked = 0
+    for pair in corpus[:150]:
+        e, f, alphabet = pair.left, pair.right, pair.alphabet
+        w = brute_witness(e, f, alphabet, pair.bound)
+        if w is None:
+            assert not check_witness(e, f, "", alphabet)
+            continue
+        assert check_witness(e, f, w, alphabet)
+        assert not check_witness(e, f, w + alphabet[0], alphabet)
+        if w:
+            assert not check_witness(e, f, w[:-1], alphabet)
+            checked += 1
+    assert checked > 50
 
 
 def test_distance_is_the_discount_power_of_the_witness_length(corpus):

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from regdist.automaton import state_normal
 from regdist.derivatives import fundamental_decomposition, output, step
 from regdist.metric import Config, ExponentValue, distance
 from regdist.oracle import denote
@@ -20,7 +19,6 @@ from regdist.proof import (
     ProofError,
     Rule,
     SynthesisFailure,
-    _normalizing,
     aci_bridge,
     check,
     check_certificate,
@@ -72,11 +70,10 @@ from regdist.syntax import (
     Star,
     Sum,
     Zero,
-    canonicalize,
     infer_alphabet,
-    normal,
     parse,
     pretty,
+    state_normal,
 )
 
 from conftest import rand_expr
@@ -566,20 +563,11 @@ def test_from_json_rejects_junk():
 # equational glue proofs
 
 
-def test_normalizing_without_units_random():
-    rng = random.Random(5)
-    for _ in range(80):
-        e = rand_expr(rng, rng.randint(1, 10))
-        d = _normalizing(e, False)
-        assert d.conclusion == Judgement(e, normal(e), 0)
-        assert valid(d)
-
-
 def test_normalizing_with_units_random():
     rng = random.Random(6)
     for _ in range(80):
         e = rand_expr(rng, rng.randint(1, 10))
-        d = _normalizing(e, True)
+        d = normalization_proof(e)
         assert d.conclusion == Judgement(e, state_normal(e), 0)
         assert valid(d)
 
@@ -588,16 +576,16 @@ def test_normalizing_leaves_normal_forms_alone():
     rng = random.Random(7)
     for _ in range(80):
         e = rand_expr(rng, rng.randint(1, 10))
-        for units, n in ((False, normal(e)), (True, state_normal(e))):
-            assert _normalizing(n, units).rule is Rule.REFL
+        assert normalization_proof(state_normal(e)).rule is Rule.REFL
 
 
 def test_aci_bridge():
     e = parse("b + (a + b)")
     f = parse("(b + a) + (b + a)")
-    d = aci_bridge(e, f)
-    assert d.conclusion == Judgement(e, f, 0)
-    assert valid(d)
+    for e, f in ((e, f), (parse("a + 0"), parse("1;a"))):
+        d = aci_bridge(e, f)
+        assert d.conclusion == Judgement(e, f, 0)
+        assert valid(d)
     with pytest.raises(ProofError):
         aci_bridge(A, B)
 
