@@ -188,10 +188,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
     else:
         print(report.to_text())
         if descent is not None:
+            # kleene_descent builds every table in pair order, so none is sorted here
             for i, table in enumerate(descent.trace):
                 cells = ", ".join(
                     f"({a},{b})={'inf' if ev.exponent is None else ev.exponent}"
-                    for (a, b), ev in sorted(table.items())
+                    for (a, b), ev in table.items()
                 )
                 print(f"step {i}: {cells or '(no pairs)'}")
     if args.verify:

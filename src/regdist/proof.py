@@ -37,8 +37,8 @@ from .syntax import (
     letters,
     parse,
     pretty,
-    sort_key,
     state_normal,
+    sum_nf,
     _printer,
 )
 
@@ -701,9 +701,10 @@ def normalization_proof(e: Regex) -> Derivation:
 
     The twin of :func:`regdist.syntax.state_normal`: the same work list, and
     each step justified by the rule behind it.  A sum is congruence, then SL2
-    and SL4 dropping a 0 child or else the ordered merge (SL1-SL3); a
-    sequence is congruence, then ZeroS, S1, S0 or OneS in ``state_normal``'s
-    order; a star is congruence.  An unchanged subterm is Refl.
+    and SL4 dropping a 0 child or else a merge (SL1-SL3) that follows the
+    summand order of :func:`regdist.syntax.sum_nf`'s result; a sequence is
+    congruence, then ZeroS, S1, S0 or OneS in ``state_normal``'s order; a
+    star is congruence.  An unchanged subterm is Refl.
     """
     done: dict[int, Derivation] = {}
     todo = [e]
@@ -756,40 +757,43 @@ def _congruence(x: Regex, cong: Callable[..., Derivation], *parts: Derivation) -
 
 
 def _merge_sorted(x: Regex, y: Regex) -> Derivation:
-    """``x + y = state_normal(x + y)`` for state-normal ``x`` and ``y``, neither 0."""
-    if not isinstance(x, Sum):
-        return _insert_sorted(x, y)
-    h, t = x.left, x.right
-    assoc = sl3(h, t, y)
-    rec = _merge_sorted(t, y)
-    return _then(
-        assoc,
-        _congruence(assoc.right, sum_cong, refl(h), rec),
-        _insert_sorted(h, rec.right),
-    )
+    """``x + y = sum_nf(x, y)`` for state-normal ``x`` and ``y``, neither 0.
+
+    One level per summand ``h`` of the result and side it heads, moving ``h``
+    to the front: one SL3 from ``x``, SL3, SL2 and SL3 from ``y``.  ``h`` is
+    the first summand of ``sum_nf`` of the two sides' first summands, so
+    ``sum_nf`` alone decides the order, at O(1) a level.  The levels are
+    joined by congruence from the innermost outward, and a second copy of
+    ``h`` is dropped by SL3 and SL1."""
+    levels = []
+    while x is not None and y is not None:
+        heads = sum_nf(*(s.left if isinstance(s, Sum) else s for s in (x, y)))
+        h = heads.left if isinstance(heads, Sum) else heads  # the lesser first summand
+        if (tx := _drop_head(x, h)) is not x:  # (h + t) + y = h + (t + y)
+            levels.append((h, refl(Sum(h, y)) if tx is None else sl3(h, tx, y)))
+            x = tx
+        if x is not None and (ty := _drop_head(y, h)) is not y:
+            d = sl2(x, h)  # x + h = h + x
+            if ty is not None:  # x + (h + t) = (x + h) + t = (h + x) + t = h + (x + t)
+                d = _then(symm(sl3(x, h, ty)), sum_cong(d, refl(ty)), sl3(h, x, ty))
+            levels.append((h, d))
+            y = ty
+    acc = refl(x or y)  # the unmerged tail of one side
+    for h, d in reversed(levels):
+        acc = _then(d, _congruence(d.right, sum_cong, refl(h), acc))
+        r = _drop_head(acc.right.right, h)
+        if r is None:  # h + h = h
+            acc = _then(acc, sl1(h))
+        elif r is not acc.right.right:  # h + (h + r) = (h + h) + r = h + r
+            acc = _then(acc, symm(sl3(h, h, r)), sum_cong(sl1(h), refl(r)))
+    return acc
 
 
-def _insert_sorted(s: Regex, y: Regex) -> Derivation:
-    """``s + y = state_normal(s + y)`` for a summand ``s`` and a state-normal ``y``."""
-    if not isinstance(y, Sum):
-        if s == y:
-            return sl1(s)
-        if sort_key(s) <= sort_key(y):
-            return refl(Sum(s, y))
-        return sl2(s, y)
-    h, t = y.left, y.right
-    if s == h:
-        return _then(symm(sl3(s, s, t)), sum_cong(sl1(s), refl(t)))
-    if sort_key(s) < sort_key(h):
-        return refl(Sum(s, y))
-    rec = _insert_sorted(s, t)
-    assoc = sl3(h, s, t)
-    return _then(
-        symm(sl3(s, h, t)),
-        sum_cong(sl2(s, h), refl(t)),
-        assoc,
-        _congruence(assoc.right, sum_cong, refl(h), rec),
-    )
+def _drop_head(s: Regex, h: Regex) -> Regex | None:
+    """``s`` after its first summand if that is ``h`` (None if none is left), else ``s``."""
+    if isinstance(s, Sum):
+        return s.right if s.left == h else s
+    return None if s == h else s
 
 
 def aci_bridge(x: Regex, y: Regex) -> Derivation:
@@ -832,13 +836,7 @@ def normal_form_proof(e: Regex, alphabet: Alphabet) -> Derivation:
         case Sum(f, g):
             base = sum_cong(normal_form_proof(f, alphabet), normal_form_proof(g, alphabet))
             slot_proofs = [symm(d1(Letter(a), step(f, a), step(g, a))) for a in alphabet]
-            bf, bg = output_bit(f), output_bit(g)
-            if bf == bg:
-                bit_proof = sl1(bf)
-            elif bg == Zero():
-                bit_proof = sl4(bf)
-            else:
-                bit_proof = _chain(sl2(Zero(), One()), sl4(One()))
+            bit_proof = normalization_proof(Sum(output_bit(f), output_bit(g)))
             slots = reduce(sum_cong, [*slot_proofs, bit_proof])
             return _chain(base, aci_bridge(base.right, slots.left), slots)
         case Seq(f, g):

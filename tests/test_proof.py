@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from regdist.automaton import build, product_pairs
 from regdist.derivatives import fundamental_decomposition, output, step
 from regdist.metric import Config, ExponentValue, distance
-from regdist.oracle import denote
+from regdist.oracle import brute_witness, denote
 from regdist.proof import (
     Certificate,
     CertificateError,
@@ -19,6 +20,7 @@ from regdist.proof import (
     ProofError,
     Rule,
     SynthesisFailure,
+    _merge_sorted,
     aci_bridge,
     check,
     check_certificate,
@@ -70,10 +72,14 @@ from regdist.syntax import (
     Star,
     Sum,
     Zero,
+    embed,
     infer_alphabet,
     parse,
     pretty,
+    _spine,
+    sort_key,
     state_normal,
+    sum_nf,
 )
 
 from conftest import rand_expr
@@ -563,15 +569,6 @@ def test_from_json_rejects_junk():
 # equational glue proofs
 
 
-def test_normalizing_with_units_random():
-    rng = random.Random(6)
-    for _ in range(80):
-        e = rand_expr(rng, rng.randint(1, 10))
-        d = normalization_proof(e)
-        assert d.conclusion == Judgement(e, state_normal(e), 0)
-        assert valid(d)
-
-
 def test_normalizing_leaves_normal_forms_alone():
     rng = random.Random(7)
     for _ in range(80):
@@ -591,12 +588,69 @@ def test_aci_bridge():
 
 
 def test_normalization_proof_random():
-    rng = random.Random(8)
-    for _ in range(80):
-        e = rand_expr(rng, rng.randint(1, 10))
-        d = normalization_proof(e)
-        assert d.conclusion == Judgement(e, state_normal(e), 0)
+    for seed in (6, 8):
+        rng = random.Random(seed)
+        for _ in range(80):
+            e = rand_expr(rng, rng.randint(1, 10))
+            d = normalization_proof(e)
+            assert d.conclusion == Judgement(e, state_normal(e), 0)
+            assert valid(d)
+
+
+def _summands(rng, count):
+    """``count`` distinct summands of state normal forms, none of them 0."""
+    found = {}
+    while len(found) < count:
+        for s in _spine(state_normal(rand_expr(rng, rng.randint(1, 6)))):
+            if not isinstance(s, Zero):
+                found[s] = None
+    return list(found)[:count]
+
+
+def test_merge_sorted_concludes_sum_nf():
+    rng = random.Random(9)
+    pool = _summands(rng, 8)
+    cases = []
+    for _ in range(60):
+        xs = rng.sample(pool, rng.randint(1, len(pool)))
+        ys = rng.sample(pool, rng.randint(1, len(pool)))
+        cases += [(xs, ys), (xs[:1], ys), (xs, ys[:1]), (xs[:1], ys[:1])]  # overlapping, single
+        cases += [(xs, xs[: len(xs) // 2 + 1]), (ys[::2], ys), (xs, xs)]  # subsets, x == y
+    for xs, ys in cases:
+        x, y = state_normal(embed(tuple(xs))), state_normal(embed(tuple(ys)))
+        d = _merge_sorted(x, y)
+        assert d.conclusion == Judgement(Sum(x, y), sum_nf(x, y), 0)
         assert valid(d)
+
+
+def test_merge_sorted_of_two_long_interleaved_sums_is_a_loop():
+    words = [parse("".join(w)) for w in itertools.product("abc", repeat=7)]
+    words.sort(key=sort_key)
+    x, y = (embed(tuple(words[i:1600:2])) for i in (0, 1))
+    e = Sum(x, y)  # two state normal forms of 800 summands, alternating in the merged order
+    d = normalization_proof(e)
+    assert _same_term(d.left, e)
+    assert _same_term(d.right, state_normal(e))
+    assert d.eps == 0
+    assert valid(d)
+
+
+def _holds(left, right):
+    """No word separates the sides, up to as many letters as the reachable
+    product pairs (a shortest separating word visits each pair once)."""
+    aut = build([left, right], ("a", "b"))
+    s, t = aut.roots
+    return brute_witness(left, right, ("a", "b"), len(product_pairs(aut, s, t))) is None
+
+
+def test_merge_rules_are_semantically_sound():
+    rng = random.Random(10)
+    for _ in range(200):
+        e, f, g = (rand_expr(rng, rng.randint(1, 5)) for _ in range(3))
+        dl, dr = normalization_proof(e), normalization_proof(f)
+        assert _holds(dl.left, dl.right) and _holds(dr.left, dr.right)
+        for d in (sl1(e), sl2(e, f), sl3(e, f, g), sl4(e), sum_cong(dl, dr)):
+            assert _holds(d.left, d.right), d.rule
 
 
 def test_normalization_proof_on_corpus_derivatives(corpus):
