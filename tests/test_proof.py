@@ -587,14 +587,22 @@ def test_aci_bridge():
         aci_bridge(A, B)
 
 
+def test_normalizing_with_units_random():
+    rng = random.Random(6)
+    for _ in range(80):
+        e = rand_expr(rng, rng.randint(1, 10))
+        d = normalization_proof(e)
+        assert d.conclusion == Judgement(e, state_normal(e), 0)
+        assert valid(d)
+
+
 def test_normalization_proof_random():
-    for seed in (6, 8):
-        rng = random.Random(seed)
-        for _ in range(80):
-            e = rand_expr(rng, rng.randint(1, 10))
-            d = normalization_proof(e)
-            assert d.conclusion == Judgement(e, state_normal(e), 0)
-            assert valid(d)
+    rng = random.Random(8)
+    for _ in range(80):
+        e = rand_expr(rng, rng.randint(1, 10))
+        d = normalization_proof(e)
+        assert d.conclusion == Judgement(e, state_normal(e), 0)
+        assert valid(d)
 
 
 def _summands(rng, count):
