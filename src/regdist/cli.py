@@ -27,7 +27,6 @@ from .proof import (
     Certificate,
     CertificateError,
     SynthesisFailure,
-    check_certificate,
     diagnose_certificate,
     from_json,
     normal_form_proof,
@@ -221,8 +220,10 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.epsilon is not None and args.tight:
         raise RegexError("give either EPS or --tight, not both")
     epsilon = Fraction(0) if args.tight else _parse_eps_arg(args.epsilon)
+    if args.spot_checks < 1:
+        raise ValueError(f"spot checks must be at least 1, got {args.spot_checks}")
     try:
-        cert = synthesize(e, f, epsilon, cfg, alphabet, args.cap, args.spot_checks)
+        cert = synthesize(e, f, epsilon, cfg, alphabet, args.cap)
     except SynthesisFailure as exc:
         if not args.tight:
             print(f"refused: {exc}", file=sys.stderr)
@@ -230,9 +231,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
             print(f"witness: {_render_witness(exc.witness)}", file=sys.stderr)
             return EXIT_REFUSED
         # the refusal carries the distance; the retry reuses the automaton
-        cert = synthesize(e, f, exc.distance, cfg, alphabet, args.cap, args.spot_checks)
-    if args.verify and not check_certificate(cert, args.spot_checks):
-        err = diagnose_certificate(cert, args.spot_checks)
+        cert = synthesize(e, f, exc.distance, cfg, alphabet, args.cap)
+    err = diagnose_certificate(cert, args.spot_checks) if args.verify else None
+    if err is not None:
         print(f"verification mismatch: synthesized certificate fails: {err}", file=sys.stderr)
         return EXIT_MISMATCH
     text = to_json(cert)
@@ -376,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SPOT_CHECKS,
         metavar="K",
-        help="template instances to check, at least 1 (default 8)",
+        help="star_unroll instances --verify checks, at least 1 (default 8); descent is checked by bisimulation",
     )
     p.add_argument(
         "--verify",
@@ -392,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SPOT_CHECKS,
         metavar="K",
-        help="template instances to check, at least 1 (default 8)",
+        help="star_unroll instances to check, at least 1 (default 8); descent is checked by bisimulation",
     )
     p.add_argument("--json", action="store_true", help="machine-readable result")
     p.set_defaults(func=cmd_check)

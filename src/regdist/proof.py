@@ -7,8 +7,9 @@ node constructors are the kernel: each states its rule's shape and side
 condition once, and the checker validates a node by rebuilding it from its
 premises with that same constructor and comparing the results.
 Infinitary arguments are packaged as named templates: the document names a
-generator and parameters, and the checker re-derives and checks finite
-instances in process rather than trusting anything embedded in the document.
+schema and parameters, never a proof.  The checker settles a ``star_unroll``
+template by re-deriving and checking finite instances, and a ``descent``
+template by checking a bisimulation with literal derivatives.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterable
 
-from .automaton import DEFAULT_STATE_CAP, build
+from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build
 from .derivatives import fundamental_decomposition, output, output_bit, step
-from .metric import Config, ExponentValue, separating_word
+from .metric import Config, ExponentValue, bisim_closure, check_bisim, separating_word
 from .syntax import (
     Alphabet,
     Letter,
@@ -611,9 +612,10 @@ def diagnose(
     """Check every node; None when the derivation is valid, else the first
     failure found with its location.
 
-    Every template is checked at its recorded instances and at instances 0
-    to ``spot_checks``, which must be at least 1: instance 0 alone is the
-    trivial bound 1 and never exercises the template.
+    A ``star_unroll`` template is checked at its recorded instances and at
+    instances 0 to ``spot_checks``, which must be at least 1: instance 0
+    alone is the trivial bound 1 and never exercises the template.  A
+    ``descent`` template is settled by a bisimulation and builds no instance.
     """
     if spot_checks < 1:
         raise ValueError(f"spot checks must be at least 1, got {spot_checks}")
@@ -648,15 +650,16 @@ def _expand_template(
     schema = d.meta.schema
     assert schema is not None
     generator = TEMPLATE_SCHEMAS[schema]
-    indices = sorted(set(d.meta.spot_indices) | set(range(spot_checks + 1)))
     deepest = max(d.meta.spot_indices, default=0)
     if deepest > MAX_SPOT_INDEX:
         return _fail(d.rule, path, f"spot index {deepest} is over the budget of {MAX_SPOT_INDEX}")
     try:
         instantiate = generator(dict(d.meta.params), d.conclusion, cfg)
-    except (_TemplateRefused, ProofError, RegexError, CertificateError) as exc:
+    except (_TemplateRefused, ProofError, RegexError, CertificateError, StateLimitExceeded) as exc:
         return _fail(d.rule, path, f"schema {schema!r} refused: {exc}")
-    for i in indices:
+    if instantiate is None:  # the schema settled its conclusion itself
+        return None
+    for i in sorted(set(d.meta.spot_indices) | set(range(spot_checks + 1))):
         try:
             inst = instantiate(i)
         except (_TemplateRefused, ProofError, RegexError) as exc:
@@ -1153,9 +1156,11 @@ def iterate_proof(
     return ctx.root_proof(n)
 
 
-def _descent_template(
-    params: dict[str, str], conclusion: Judgement, cfg: Config
-) -> Callable[[int], Derivation]:
+def _descent_template(params: dict[str, str], conclusion: Judgement, cfg: Config) -> None:
+    """Settle ``left = right within 0`` by the continuity rule.  Its premises,
+    ``left = right within discount ** n`` for every n, all hold just when the
+    reachable state pairs form a bisimulation, checked with literal
+    derivatives; no instance is built."""
     try:
         left = parse(params["left"])
         right = parse(params["right"])
@@ -1164,15 +1169,15 @@ def _descent_template(
     if conclusion != Judgement(left, right, Fraction(0)):
         raise _TemplateRefused("conclusion does not match the parameters")
     alphabet = infer_alphabet(left, right)
-    ctx = _make_context(left, right, cfg, alphabet, DEFAULT_STATE_CAP)
-    if not ctx.root_separation.is_zero:
-        raise _TemplateRefused(
-            "the languages are apart; no descent to 0 exists"
-        )
-    return lambda i: weaken_to(ctx.root_proof(i), cfg.discount**i)
+    if not check_bisim(bisim_closure(left, right, alphabet, DEFAULT_STATE_CAP), left, right, alphabet):
+        raise _TemplateRefused("the languages are apart; no descent to 0 exists")
+    return None
 
 
-TEMPLATE_SCHEMAS: dict[str, Callable[[dict[str, str], Judgement, Config], Callable[[int], Derivation]]] = {
+# Each schema either refuses its parameters, returns the instance generator
+# the checker spot-checks (``star_unroll``), or settles its conclusion itself
+# and returns None (``descent``).
+TEMPLATE_SCHEMAS: dict[str, Callable[[dict[str, str], Judgement, Config], Callable[[int], Derivation] | None]] = {
     "star_unroll": _star_unroll_template,
     "descent": _descent_template,
 }
@@ -1185,21 +1190,19 @@ def synthesize(
     cfg: Config | None = None,
     alphabet: Alphabet | None = None,
     cap: int = DEFAULT_STATE_CAP,
-    spot_checks: int = DEFAULT_SPOT_CHECKS,
 ) -> Certificate:
     """Produce a checkable certificate of ``e = f`` within ``epsilon``.
 
     Raises :class:`SynthesisFailure` when ``epsilon`` undercuts the actual
     distance; in all other cases the certificate's bound is ``epsilon``
     itself (a chain of bound-0 rules when ``state_normal`` equates the two,
-    else a descent template for distance zero at bound zero).
+    else a ``descent`` template, with no spot indices, for distance zero at
+    bound zero).
     """
     cfg = cfg or Config()
     epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
     if epsilon < 0:
         raise ValueError(f"negative bound {epsilon}")
-    if spot_checks < 1:
-        raise ValueError(f"spot checks must be at least 1, got {spot_checks}")
     if state_normal(e) == state_normal(f):
         return Certificate(cfg, weaken_to(aci_bridge(e, f), epsilon))
     if alphabet is None:
@@ -1208,13 +1211,8 @@ def synthesize(
     sep = ctx.root_separation
     if sep.is_zero:
         if epsilon == 0:
-            node = cont_template(
-                "descent",
-                {"left": pretty(e), "right": pretty(f)},
-                Judgement(e, f, Fraction(0)),
-                range(spot_checks + 1),
-            )
-            return Certificate(cfg, node)
+            params = {"left": pretty(e), "right": pretty(f)}
+            return Certificate(cfg, cont_template("descent", params, Judgement(e, f, Fraction(0))))
         n = 0
         while cfg.discount**n > epsilon:
             n += 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from regdist import proof
 from regdist.automaton import build, product_pairs
 from regdist.derivatives import fundamental_decomposition, output, step
 from regdist.metric import Config, ExponentValue, distance
@@ -304,14 +305,46 @@ def test_checker_rejects_unknown_template_schema():
     assert err is not None and "frobnicate" in err.reason
 
 
-def test_descent_template_refuses_separated_languages():
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("a*", "a+1"),
+        # the shortest separating word has 20 letters, deeper than any spot instance
+        (f"({'a' * 20})*", f"({'a' * 21})*"),
+    ],
+    ids=["a*-a+1", "(a^20)*-(a^21)*"],
+)
+def test_descent_template_refuses_separated_languages(left, right):
     node = cont_template(
         "descent",
-        {"left": "a*", "right": "a+1"},
-        Judgement(parse("a*"), parse("a+1"), 0),
+        {"left": left, "right": right},
+        Judgement(parse(left), parse(right), 0),
         (0, 1, 2),
     )
     assert diagnose(node, CFG) is not None
+
+
+def _descent_node(left, right):
+    return cont_template("descent", {"left": left, "right": right}, Judgement(parse(left), parse(right), 0))
+
+
+def test_descent_check_does_not_reach_the_prover(monkeypatch):
+    cert = from_json(to_json(Certificate(CFG, _descent_node("(a+b)*", "(a*;b*)*"))))
+
+    def prover(*args, **kwargs):
+        raise AssertionError("the checker called the prover")
+
+    monkeypatch.setattr(proof, "_make_context", prover)
+    monkeypatch.setattr(proof, "_ProofContext", prover)
+    assert diagnose_certificate(cert) is None
+
+
+def test_descent_template_over_the_state_cap_is_invalid(monkeypatch):
+    # (a+b)* vs (a*;b*)* closes to 4 states
+    monkeypatch.setattr(proof, "DEFAULT_STATE_CAP", 3)
+    err = diagnose(_descent_node("(a+b)*", "(a*;b*)*"), CFG)
+    assert isinstance(err, CheckError) and err.path == ()
+    assert "state cap of 3 exceeded" in err.reason
 
 
 def test_descent_template_rejects_mismatched_params():
@@ -855,6 +888,23 @@ def test_iterate_proof_bounds():
     d = iterate_proof(e, f, 0, CFG)
     assert d.eps == 1
     assert valid(d)
+
+
+def test_approximants_of_equal_corpus_pairs_check(corpus):
+    # the checker builds no approximant for a descent template, so test the
+    # prover's here, at the depths 0..8 of the default spot checks
+    pairs = [
+        p
+        for p in corpus
+        if state_normal(p.left) != state_normal(p.right)
+        and distance(p.left, p.right, None, p.alphabet) == 0
+    ]
+    assert pairs
+    for p in pairs:
+        for n in range(9):
+            d = weaken_to(iterate_proof(p.left, p.right, n, CFG), CFG.discount**n)
+            assert d.conclusion == Judgement(p.left, p.right, CFG.discount**n)
+            assert valid(d)
 
 
 def test_synthesized_bounds_respect_the_discount():
