@@ -321,8 +321,8 @@ def _chain(*parts: Derivation) -> Derivation:
 
 # ---------------------------------------------------------------------------
 # Certificates and their JSON form.  A version-1 document nests each node's
-# premises inside it.  The writer makes one dict per distinct node and prints
-# each distinct expression once; the C encoder expands the shared dicts.
+# premises inside it.  The writer makes one dict per distinct node, which the C
+# encoder expands under each parent, and the reader folds back into one node.
 
 
 @dataclass(frozen=True)
@@ -372,103 +372,142 @@ def to_json(cert: Certificate, indent: int | None = None) -> str:
     return json.dumps(serialize(cert), indent=indent, separators=separators)
 
 
-def _parse_expr(text: object, what: str, parsed: dict[str, Regex]) -> Regex:
+# A node's path from the root: ``(index, parent's path)`` links ending in ``()``.
+_Path = tuple
+
+
+def _steps(path: _Path) -> tuple[int, ...]:
+    steps = []
+    while path:
+        i, path = path
+        steps.append(i)
+    return tuple(reversed(steps))
+
+
+def _where(path: _Path) -> str:
+    return "/".join(["root", *map(str, _steps(path))])
+
+
+def _parse_expr(text: object, what: Callable[[], str], parsed: dict[str, Regex]) -> Regex:
     """Parse ``text``, sharing one object among equal strings in ``parsed``."""
     if not isinstance(text, str):
-        raise CertificateError(f"{what} must be a string, got {type(text).__name__}")
+        raise CertificateError(f"{what()} must be a string, got {type(text).__name__}")
     got = parsed.get(text)
     if got is None:
         try:
             got = parsed[text] = parse(text)
         except RegexError as exc:
-            raise CertificateError(f"bad {what}: {exc}") from exc
+            raise CertificateError(f"bad {what()}: {exc}") from exc
     return got
 
 
-def _parse_eps(text: object, what: str) -> Fraction:
+_fraction = lru_cache(maxsize=1024)(Fraction)  # a few bound strings recur in every document
+
+
+def _parse_eps(text: object, what: Callable[[], str]) -> Fraction:
     if not isinstance(text, (str, int)) or isinstance(text, bool):
-        raise CertificateError(f"{what} must be a string, got {type(text).__name__}")
+        raise CertificateError(f"{what()} must be a string, got {type(text).__name__}")
     try:
-        value = Fraction(text)
+        value = _fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CertificateError(f"bad {what}: {text!r}") from exc
+        raise CertificateError(f"bad {what()}: {text!r}") from exc
     if value < 0:
-        raise CertificateError(f"negative {what}: {text!r}")
+        raise CertificateError(f"negative {what()}: {text!r}")
     return value
 
 
-def _judgement_from_dict(d: object, what: str, parsed: dict[str, Regex]) -> Judgement:
+def _judgement_from_dict(d: object, what: Callable[[], str], parsed: dict[str, Regex]) -> Judgement:
     if not isinstance(d, dict):
-        raise CertificateError(f"{what} must be an object")
+        raise CertificateError(f"{what()} must be an object")
     missing = {"left", "right", "eps"} - d.keys()
     if missing:
-        raise CertificateError(f"{what} lacks {sorted(missing)}")
+        raise CertificateError(f"{what()} lacks {sorted(missing)}")
     return Judgement(
-        _parse_expr(d["left"], f"{what} left side", parsed),
-        _parse_expr(d["right"], f"{what} right side", parsed),
-        _parse_eps(d["eps"], f"{what} bound"),
+        _parse_expr(d["left"], lambda: f"{what()} left side", parsed),
+        _parse_expr(d["right"], lambda: f"{what()} right side", parsed),
+        _parse_eps(d["eps"], lambda: f"{what()} bound"),
     )
 
 
-def _node_from_dict(d: object, path: str, parsed: dict[str, Regex]) -> Derivation:
-    if not isinstance(d, dict):
-        raise CertificateError(f"node {path} must be an object")
-    try:
-        rule = Rule(d.get("rule"))
-    except ValueError:
-        raise CertificateError(f"node {path}: unknown rule tag {d.get('rule')!r}") from None
-    concl = _judgement_from_dict(d.get("conclusion"), f"node {path} conclusion", parsed)
-    raw_premises = d.get("premises", [])
-    if not isinstance(raw_premises, list):
-        raise CertificateError(f"node {path}: premises must be a list")
-    premises = tuple(
-        _node_from_dict(p, f"{path}/{i}", parsed) for i, p in enumerate(raw_premises)
-    )
-    raw_meta = d.get("meta", {})
-    if not isinstance(raw_meta, dict):
-        raise CertificateError(f"node {path}: meta must be an object")
-    midpoint = None
-    if "midpoint" in raw_meta:
-        midpoint = _parse_expr(raw_meta["midpoint"], f"node {path} midpoint", parsed)
-    letter = None
-    if "letter" in raw_meta:
-        letter = raw_meta["letter"]
-        if not isinstance(letter, str) or len(letter) != 1:
-            raise CertificateError(f"node {path}: letter must be a single character")
-    schema = None
-    params: tuple[tuple[str, str], ...] = ()
-    spots: tuple[int, ...] = ()
-    if rule is Rule.CONT_TEMPLATE:
-        schema = raw_meta.get("schema")
-        if not isinstance(schema, str):
-            raise CertificateError(f"node {path}: template needs a schema name")
-        raw_params = raw_meta.get("params", {})
-        if not isinstance(raw_params, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in raw_params.items()
-        ):
-            raise CertificateError(f"node {path}: template params must map strings to strings")
-        params = tuple(sorted(raw_params.items()))
-        raw_spots = raw_meta.get("spot_indices", [])
-        if not isinstance(raw_spots, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in raw_spots
-        ):
-            raise CertificateError(f"node {path}: spot_indices must be nonnegative integers")
-        spots = tuple(raw_spots)
+_RULE_TAGS = {r.value: r for r in Rule}
+
+
+def _read_nodes(root: object, parsed: dict[str, Regex]) -> Derivation:
+    """The proof DAG of a version-1 root node, by one work list that validates
+    an occurrence before its premises and its meta after, as recursion would.
+    An occurrence repeating an earlier one's fields and premises is that node."""
+    judged: dict[tuple, Judgement] = {}  # by the conclusion's strings
+    memo: dict[tuple | None, Derivation] = {}
+    done: list[Derivation] = []  # read nodes that their parent has not taken yet
+    todo: list[tuple] = [(root, ())]
+    while todo:
+        d, path, *rest = todo.pop()
+        if not rest:  # entering an occurrence
+            if not isinstance(d, dict):
+                raise CertificateError(f"node {_where(path)} must be an object")
+            tag, c, ps = d.get("rule"), d.get("conclusion"), d.get("premises", [])
+            rule = _RULE_TAGS.get(tag) if isinstance(tag, str) else None
+            if rule is None:
+                raise CertificateError(f"node {_where(path)}: unknown rule tag {tag!r}")
+            try:
+                raw = c["left"], c["right"], c["eps"]
+                concl = judged.get(raw)
+            except (KeyError, TypeError):
+                concl = None
+            if concl is None:  # not seen yet: the validating path
+                concl = _judgement_from_dict(c, lambda: f"node {_where(path)} conclusion", parsed)
+                if type(raw[2]) is str:  # an int bound would equal a bool
+                    judged[raw] = concl
+            if not isinstance(ps, list):
+                raise CertificateError(f"node {_where(path)}: premises must be a list")
+            todo += [(d, path, rule, (tag, *raw), concl, len(ps))]
+            todo += [(ps[i], (i, path)) for i in range(len(ps) - 1, -1, -1)]
+            continue
+        rule, key, concl, n = rest
+        premises = tuple(done[len(done) - n :])
+        del done[len(done) - n :]
+        meta = d.get("meta", {})
+        if not isinstance(meta, dict):
+            raise CertificateError(f"node {_where(path)}: meta must be an object")
+        try:
+            key = (*key, *meta.items(), *map(id, premises))
+            node = memo.get(key)
+        except TypeError:  # a list or an object in meta: read without sharing
+            key = node = None
+        if node is None:
+            node = Derivation(rule, concl, premises, _meta(rule, meta, lambda: f"node {_where(path)}", parsed))
+            memo[key] = node  # under None when not shared, where no lookup goes
+        done.append(node)
+    return done[0]
+
+
+def _meta(rule: Rule, raw: dict, at: Callable[[], str], parsed: dict[str, Regex]) -> Meta:
+    midpoint, letter = None, raw.get("letter")
+    if "midpoint" in raw:
+        midpoint = _parse_expr(raw["midpoint"], lambda: f"{at()} midpoint", parsed)
+    if "letter" in raw and not (isinstance(letter, str) and len(letter) == 1):
+        raise CertificateError(f"{at()}: letter must be a single character")
     if rule is Rule.TRIANG and midpoint is None:
-        raise CertificateError(f"node {path}: transitivity needs its midpoint recorded")
-    meta = Meta(midpoint=midpoint, letter=letter, schema=schema, params=params, spot_indices=spots)
-    try:
-        return Derivation(rule, concl, premises, meta)
-    except ProofError as exc:
-        raise CertificateError(f"node {path}: {exc}") from exc
+        raise CertificateError(f"{at()}: transitivity needs its midpoint recorded")
+    if rule is not Rule.CONT_TEMPLATE:
+        return Meta(midpoint, letter) if midpoint or letter else _EMPTY_META
+    schema, params, spots = raw.get("schema"), raw.get("params", {}), raw.get("spot_indices", [])
+    if not isinstance(schema, str):
+        raise CertificateError(f"{at()}: template needs a schema name")
+    if not isinstance(params, dict) or not all(isinstance(x, str) for x in (*params, *params.values())):
+        raise CertificateError(f"{at()}: template params must map strings to strings")
+    if not isinstance(spots, list) or not all(type(i) is int and i >= 0 for i in spots):
+        raise CertificateError(f"{at()}: spot_indices must be nonnegative integers")
+    return Meta(midpoint, letter, schema, tuple(sorted(params.items())), tuple(spots))
 
 
 def deserialize(doc: object) -> Certificate:
+    """A version-1 document's certificate; a repeated subtree is one node."""
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
     if doc.get("version") != 1:
         raise CertificateError(f"unsupported certificate version {doc.get('version')!r}")
-    lam = _parse_eps(doc.get("lambda"), "lambda")
+    lam = _parse_eps(doc.get("lambda"), lambda: "lambda")
     try:
         cfg = Config(discount=lam)
     except ValueError as exc:
@@ -478,15 +517,15 @@ def deserialize(doc: object) -> Certificate:
         raise CertificateError("hypotheses must be a list")
     parsed: dict[str, Regex] = {}
     hyps = tuple(
-        _judgement_from_dict(h, f"hypothesis {i}", parsed) for i, h in enumerate(raw_hyps)
+        _judgement_from_dict(h, lambda: f"hypothesis {i}", parsed) for i, h in enumerate(raw_hyps)
     )
     if "root" not in doc:
         raise CertificateError("certificate lacks a root derivation")
-    root = _node_from_dict(doc["root"], "root", parsed)
-    return Certificate(config=cfg, root=root, hypotheses=hyps)
+    return Certificate(config=cfg, root=_read_nodes(doc["root"], parsed), hypotheses=hyps)
 
 
 def from_json(text: str) -> Certificate:
+    """:func:`deserialize` of a JSON text."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -498,17 +537,8 @@ def from_json(text: str) -> Certificate:
 # Checking
 
 
-# A node's path from the root, as ``(index, parent's path)`` links ending in
-# ``()``: O(1) to extend, so deep instances hold no quadratic path copies.
-_Path = tuple
-
-
 def _fail(rule: Rule, path: _Path, reason: str) -> CheckError:
-    steps = []
-    while path:
-        i, path = path
-        steps.append(i)
-    return CheckError(rule.value, tuple(reversed(steps)), reason)
+    return CheckError(rule.value, _steps(path), reason)
 
 
 # Each axiom rebuilt from the pattern variables read off its left side.

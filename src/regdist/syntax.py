@@ -36,7 +36,17 @@ class _Node:
 
     def __eq__(self, other: object) -> bool:
         same_hash = isinstance(other, _Node) and self._hash == other._hash
-        return self is other or (same_hash and self._key == other._key)
+        try:
+            return self is other or (same_hash and self._key == other._key)
+        except RecursionError:  # keys nested deeper than C compares them: a loop
+            todo = [(self._key, other._key)]
+            while todo:
+                a, b = todo.pop()
+                if type(a) is tuple and type(b) is tuple and len(a) == len(b):
+                    todo += zip(a, b) if a is not b else ()
+                elif a != b:
+                    return False
+            return True
 
     def __hash__(self) -> int:
         return self._hash

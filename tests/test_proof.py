@@ -598,6 +598,124 @@ def test_from_json_rejects_junk():
         from_json('"a string"')
 
 
+def _distinct(root, children):
+    """The distinct objects reachable from ``root``, by identity."""
+    seen, todo = {}, [root]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            todo += children(x)
+    return len(seen)
+
+
+def _distinct_subtrees(doc):
+    """The number of distinct subtrees of a written document, by content."""
+    ids: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id of a node dict -> its subtree's number
+    todo = [doc["root"]]
+    while todo:
+        node = todo[-1]
+        missing = [p for p in node["premises"] if id(p) not in done]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        c = node["conclusion"]
+        kids = tuple(done[id(p)] for p in node["premises"])
+        key = (node["rule"], c["left"], c["right"], c["eps"], json.dumps(node["meta"]), kids)
+        done[id(node)] = ids.setdefault(key, len(ids))
+    return len(ids)
+
+
+def test_reader_rebuilds_the_proof_dag_and_the_checker_visits_it_once(monkeypatch):
+    # (a^12)* vs (a^13)*: 5,252 nodes in the text, 793 distinct subtrees
+    e, f = parse(f"({'a' * 12})*"), parse(f"({'a' * 13})*")
+    cert = synthesize(e, f, distance(e, f))
+    read = from_json(to_json(cert))
+    # serialize makes one dict per distinct prover object (more than 793:
+    # the prover builds some equal nodes twice); the reader shares by content
+    assert _distinct(read.root, lambda d: d.premises) == _distinct_subtrees(serialize(cert)) == 793
+    calls = []
+    check_node = proof._check_node
+    monkeypatch.setattr(proof, "_check_node", lambda *a: calls.append(1) or check_node(*a))
+    assert diagnose_certificate(read) is None
+    assert len(calls) == 793
+
+
+def test_deserialize_reads_a_deep_document_without_recursion():
+    d = refl(A)
+    for _ in range(5000):
+        d = symm(d)
+    read = deserialize(serialize(Certificate(CFG, d)))
+    assert read.root.conclusion == Judgement(A, A, 0)
+    assert diagnose_certificate(read) is None
+
+
+def _occurrences(doc):
+    """Each serialized node's occurrences, as (path, dict) in pre-order,
+    grouped by content."""
+    groups: dict[str, list] = {}
+    todo = [((), doc["root"])]
+    while todo:
+        path, node = todo.pop()
+        groups.setdefault(json.dumps(node, sort_keys=True), []).append((path, node))
+        todo += [(path + (i,), p) for i, p in reversed(list(enumerate(node["premises"])))]
+    return groups
+
+
+def _repeated_triang():
+    """A written document, and a Triang subtree that occurs twice in it at
+    paths whose parents differ: (first occurrence, later occurrence)."""
+    cert = synthesize(parse("(aaa)*"), parse("(aaaa)*"), Fraction(1, 8))
+    doc = json.loads(to_json(cert))
+    for group in _occurrences(doc).values():
+        (first, _), (later, node) = (group * 2)[:2]
+        if node["rule"] == "Triang" and later[:-1] != first[: len(later) - 1]:
+            return doc, group
+    raise AssertionError("no repeated Triang subtree")
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [
+        lambda n: n["conclusion"].update(eps=str(Fraction(n["conclusion"]["eps"]) + 1)),
+        lambda n: n.update(rule="SL5"),
+        lambda n: n["conclusion"].update(left="0"),
+    ],
+    ids=["bound", "rule", "side"],
+)
+def test_a_mutated_later_occurrence_of_a_shared_subtree_is_caught_there(attack):
+    doc, group = _repeated_triang()
+    (first, _), (later, node) = group[:2]
+    assert diagnose_certificate(deserialize(doc)) is None
+    attack(node)
+    err = diagnose_certificate(deserialize(doc))
+    assert err is not None
+    # the mutated node, or its parent, whose premise it is
+    assert err.path in (later, later[:-1])
+    assert err.path != first[: len(err.path)]
+
+
+@pytest.mark.parametrize(
+    "attack, message",
+    [
+        (lambda n: n["conclusion"].update(left="(a"), "bad node {} conclusion left side: "),
+        (lambda n: n.update(premises="zzz"), "node {}: premises must be a list"),
+        (lambda n: n.update(meta="zzz"), "node {}: meta must be an object"),
+    ],
+    ids=["expression", "premises", "meta"],
+)
+def test_a_malformed_repeated_node_is_reported_at_its_first_occurrence(attack, message):
+    doc, group = _repeated_triang()
+    for _, node in group:
+        attack(node)
+    with pytest.raises(CertificateError) as info:
+        deserialize(doc)
+    where = "/".join(["root", *map(str, group[0][0])])
+    assert str(info.value).startswith(message.format(where))
+
+
 # ---------------------------------------------------------------------------
 # equational glue proofs
 
@@ -673,6 +791,15 @@ def test_merge_sorted_of_two_long_interleaved_sums_is_a_loop():
     assert _same_term(d.left, e)
     assert _same_term(d.right, state_normal(e))
     assert d.eps == 0
+    assert valid(d)
+
+
+def test_aci_bridge_of_long_equal_sums_does_not_recurse():
+    words = [parse("".join(w)) for w in itertools.product("abc", repeat=7)]
+    words.sort(key=sort_key)
+    x, y = (embed(tuple(words[i:1600:2])) for i in (0, 1))  # 800 distinct words each
+    d = aci_bridge(Sum(x, y), Sum(y, x))
+    assert (d.left, d.right, d.eps) == (Sum(x, y), Sum(y, x), 0)
     assert valid(d)
 
 

@@ -263,6 +263,19 @@ def test_equal_hashes_alone_do_not_make_nodes_equal():
     assert hash(forged) == hash(A) and forged != A
 
 
+def test_terms_deeper_than_the_stack_compare_by_their_keys():
+    def tower(bottom):
+        acc = bottom
+        for i in range(5000):
+            acc = Sum(A, acc) if i % 2 else Seq(Star(B), acc)
+        return acc
+
+    forged = Letter("b")
+    object.__setattr__(forged, "_hash", hash(A))  # equal hashes all the way up
+    assert tower(A) == tower(A) and not tower(A) != tower(A)
+    assert hash(tower(forged)) == hash(tower(A)) and tower(forged) != tower(A)
+
+
 @given(exprs)
 def test_nodes_refuse_attribute_assignment(e):
     for name in (*e.__match_args__, "_key", "_hash", "anything"):
