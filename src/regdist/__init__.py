@@ -1,7 +1,7 @@
 """Exact behavioural distances between regular expressions, with certificates."""
 
 from .automaton import QuotientAutomaton, StateLimitExceeded, build, product_pairs, to_dot
-from .metric import Config, DescentResult, ExponentValue, bisim_closure, check_bisim, distance, kleene_descent, witness
+from .metric import Config, DescentResult, ExponentValue, distance, kleene_descent, literal_separation, witness
 from .syntax import (
     Letter,
     One,
@@ -32,12 +32,11 @@ __all__ = [
     "StateLimitExceeded",
     "Sum",
     "Zero",
-    "bisim_closure",
     "build",
-    "check_bisim",
     "distance",
     "embed",
     "kleene_descent",
+    "literal_separation",
     "parse",
     "pretty",
     "product_pairs",

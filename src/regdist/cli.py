@@ -19,11 +19,18 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build, product_pairs, to_dot
+from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build, to_dot
 from .derivatives import fundamental_decomposition
-from .metric import Config, ExponentValue, check_bisim, check_witness, kleene_descent, pair_count, separating_word
+from .metric import (
+    Config,
+    ExponentValue,
+    check_witness,
+    kleene_descent,
+    literal_separation,
+    pair_count,
+    separating_word,
+)
 from .proof import (
-    DEFAULT_SPOT_CHECKS,
     Certificate,
     CertificateError,
     SynthesisFailure,
@@ -101,13 +108,11 @@ def _too_deep(exc: RecursionError) -> str:
     return f"input too deep to process ({exc})"
 
 
-def _parse_discount(text: str) -> Fraction:
+def _rational(text: str) -> Fraction:
     try:
-        lam = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise RegexError(f"cannot read {text!r} as a rational") from None
-    Config(discount=lam)  # range check
-    return lam
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -136,7 +141,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 def _setup(args: argparse.Namespace) -> tuple[Config, Alphabet | None]:
     if args.cap < 1:
         raise ValueError(f"state cap must be at least 1, got {args.cap}")
-    cfg = Config(discount=_parse_discount(args.discount))
+    cfg = Config(discount=_rational(args.discount))
     alphabet = make_alphabet(args.alphabet) if args.alphabet is not None else None
     return cfg, alphabet
 
@@ -146,15 +151,13 @@ def _parse_pair(args: argparse.Namespace, alphabet: Alphabet | None) -> tuple[Re
 
 
 def _write_text(path: str | None, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
@@ -164,8 +167,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         alphabet = infer_alphabet(e, f)
     t0 = time.perf_counter()
     aut = build([e, f], alphabet, args.cap)
-    s, t = aut.roots
-    w = separating_word(aut, s, t)
+    w = separating_word(aut, *aut.roots)
     dist = ExponentValue.of_word(w).value(cfg.discount)
     descent = kleene_descent(aut) if args.trace else None
     elapsed = (time.perf_counter() - t0) * 1000
@@ -195,16 +197,16 @@ def cmd_dist(args: argparse.Namespace) -> int:
                 )
                 print(f"step {i}: {cells or '(no pairs)'}")
     if args.verify:
-        # Both checks use literal derivatives, not the automaton's transitions.
-        # Equal: the reachable pairs must form a bisimulation, which proves the
-        # languages equal.  Apart: the witness must separate them, and no pair
-        # reached by a shorter word may.
+        # One walk with literal derivatives, not the automaton's transitions,
+        # finds the length of a shortest separating word.  Equal: it must find
+        # none.  Apart: it must find the witness's length, and the witness
+        # must separate the languages by membership.
         if w is None:
-            rel = [(aut.states[i], aut.states[j]) for i, j in product_pairs(aut, s, t) if i != j]
-            ok = check_bisim(rel, e, f, alphabet)
-            found = f"but its {len(rel)} reachable pairs are not a bisimulation"
+            n = literal_separation(e, f, alphabet, args.cap)
+            ok = n is None
+            found = f"but a literal walk separates them at length {n}"
         else:
-            ok = check_witness(e, f, w, alphabet)
+            ok = check_witness(e, f, w, alphabet, args.cap)
             found = f"but {_render_witness(w)} is not a shortest separating word"
         if not ok:
             print(f"verification mismatch: the product walk gives {dist}, {found}", file=sys.stderr)
@@ -220,8 +222,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.epsilon is not None and args.tight:
         raise RegexError("give either EPS or --tight, not both")
     epsilon = Fraction(0) if args.tight else _parse_eps_arg(args.epsilon)
-    if args.spot_checks < 1:
-        raise ValueError(f"spot checks must be at least 1, got {args.spot_checks}")
     try:
         cert = synthesize(e, f, epsilon, cfg, alphabet, args.cap)
     except SynthesisFailure as exc:
@@ -232,7 +232,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
             return EXIT_REFUSED
         # the refusal carries the distance; the retry reuses the automaton
         cert = synthesize(e, f, exc.distance, cfg, alphabet, args.cap)
-    err = diagnose_certificate(cert, args.spot_checks) if args.verify else None
+    err = diagnose_certificate(cert) if args.verify else None
     if err is not None:
         print(f"verification mismatch: synthesized certificate fails: {err}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -247,10 +247,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _parse_eps_arg(text: str) -> Fraction:
-    try:
-        eps = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise RegexError(f"cannot read {text!r} as a rational") from None
+    eps = _rational(text)
     if eps < 0:
         raise RegexError(f"bound must be nonnegative, got {eps}")
     return eps
@@ -266,7 +263,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise CertificateError(f"cannot read {args.certificate}: {exc}") from exc
     cert = from_json(text)
-    err = diagnose_certificate(cert, args.spot_checks)
+    err = diagnose_certificate(cert)
     j = cert.root.conclusion
     if args.json:
         out = {
@@ -361,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check with literal derivatives: the witness, or a bisimulation when equal (exit 3 on mismatch)",
+        help="cross-check with one walk over literal derivatives: it must find the witness's length, or no separating word when equal (exit 3 on mismatch)",
     )
     p.set_defaults(func=cmd_dist)
 
@@ -373,13 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tight", action="store_true", help="prove the exact distance")
     p.add_argument("-o", "--output", default=None, metavar="FILE")
     p.add_argument(
-        "--spot-checks",
-        type=int,
-        default=DEFAULT_SPOT_CHECKS,
-        metavar="K",
-        help="star_unroll instances --verify checks, at least 1 (default 8); descent is checked by bisimulation",
-    )
-    p.add_argument(
         "--verify",
         action="store_true",
         help="re-check the certificate before writing (exit 3 on failure)",
@@ -388,13 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a certificate document")
     p.add_argument("certificate", help="path to a JSON certificate, or - for stdin")
-    p.add_argument(
-        "--spot-checks",
-        type=int,
-        default=DEFAULT_SPOT_CHECKS,
-        metavar="K",
-        help="star_unroll instances to check, at least 1 (default 8); descent is checked by bisimulation",
-    )
     p.add_argument("--json", action="store_true", help="machine-readable result")
     p.set_defaults(func=cmd_check)
 

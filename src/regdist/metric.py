@@ -13,6 +13,10 @@ one-step operator over all pairs and backs ``dist --trace`` and the
 step, re-evaluates only the pairs whose successors moved.  It works on
 exponents too; rational values come out of a table through
 :meth:`ExponentValue.value`.
+
+:func:`literal_separation` finds the separation a second way, with literal
+derivatives and no automaton, so that answers and certificates can be checked
+without trusting :func:`~regdist.automaton.build`.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable
 
 from .automaton import (
     DEFAULT_STATE_CAP,
     QuotientAutomaton,
+    StateLimitExceeded,
     build,
-    product_pairs,
     product_walk,
 )
 from .derivatives import member, output, step
@@ -219,7 +222,8 @@ def witness(
 
 
 # ---------------------------------------------------------------------------
-# Distance-zero certificates: bisimulations up to normalization
+# Literal separation: the product walk again, with literal derivatives and no
+# automaton, for ``dist --verify``, witness checks and the ``descent`` template
 
 
 def _unordered(u: Regex, v: Regex) -> tuple[Regex, Regex]:
@@ -228,76 +232,52 @@ def _unordered(u: Regex, v: Regex) -> tuple[Regex, Regex]:
     return (un, vn) if sort_key(un) <= sort_key(vn) else (vn, un)
 
 
-def check_bisim(
-    relation: Iterable[tuple[Regex, Regex]],
-    e: Regex,
-    f: Regex,
-    alphabet: Alphabet | None = None,
-) -> bool:
-    """Is ``relation`` a bisimulation (up to normalization) relating e and f?
-
-    The pair (e, f) must occur in the relation or be identical after
-    normalization; every related pair must agree on output and have all
-    same-letter derivatives related again, where identical pairs count as
-    related without being listed.
-    """
-    rel = {_unordered(u, v) for u, v in relation}
-    if alphabet is None:
-        members: list[Regex] = [e, f]
-        for u, v in rel:
-            members.append(u)
-            members.append(v)
-        alphabet = infer_alphabet(*members)
-    ue, vf = _unordered(e, f)
-    if ue != vf and (ue, vf) not in rel:
-        return False
-    for u, v in rel:
-        if output(u) != output(v):
-            return False
-        for a in alphabet:
-            du, dv = _unordered(step(u, a), step(v, a))
-            if du != dv and (du, dv) not in rel:
-                return False
-    return True
-
-
-def check_witness(e: Regex, f: Regex, word: str, alphabet: Alphabet | None = None) -> bool:
-    """Is ``word`` a shortest word in exactly one of the languages of e and f?
-
-    ``word`` must separate them by :func:`~regdist.derivatives.member`, and
-    every pair reached from (e, f) in fewer than ``len(word)`` synchronized
-    literal steps, up to normalization, must agree on output.  Each distinct
-    pair is stepped once.
-    """
-    if member(e, word) == member(f, word):
-        return False
-    if alphabet is None:
-        alphabet = infer_alphabet(e, f)
-    level = {_unordered(e, f)}
-    seen = set(level)
-    for _ in word:
-        if any(output(u) != output(v) for u, v in level):
-            return False
-        level = {_unordered(step(u, a), step(v, a)) for u, v in level for a in alphabet} - seen
-        seen |= level
-    return True
-
-
-def bisim_closure(
+def literal_separation(
     e: Regex,
     f: Regex,
     alphabet: Alphabet | None = None,
     cap: int = DEFAULT_STATE_CAP,
-) -> tuple[tuple[Regex, Regex], ...]:
-    """The synchronized derivative closure of (e, f), as expression pairs.
+) -> int | None:
+    """The length of a shortest word in exactly one of the languages of e and
+    f, or None when no word separates them.
 
-    When the two languages are equal the result passes :func:`check_bisim`;
-    when they are not, it contains an output-disagreeing pair and fails it.
+    Breadth-first over pairs of :func:`~regdist.syntax.state_normal` forms of
+    literal :func:`~regdist.derivatives.step` pairs, from (e, f); a pair of
+    identical forms never separates and is not stepped.  Each distinct pair is
+    stepped once, and the walk stops at the first level with a pair whose
+    outputs differ.  Raises :class:`StateLimitExceeded` once more than ``cap``
+    distinct normal forms have been met.
     """
-    aut = build([e, f], alphabet, cap)
-    s, t = aut.roots
-    out = []
-    for i, j in product_pairs(aut, s, t):
-        if i != j:
-            out.append((aut.states[i], aut.states[j]))
-    return tuple(out)
+    if alphabet is None:
+        alphabet = infer_alphabet(e, f)
+    met: set[Regex] = set()
+    level = {_unordered(e, f)}
+    seen = set(level)
+    depth = 0
+    while level:
+        for u, v in level:
+            met.add(u)
+            met.add(v)
+        if len(met) > cap:
+            raise StateLimitExceeded(cap)
+        if any(output(u) != output(v) for u, v in level):
+            return depth
+        level = {_unordered(step(u, a), step(v, a)) for u, v in level if u != v for a in alphabet} - seen
+        seen |= level
+        depth += 1
+    return None
+
+
+def check_witness(
+    e: Regex,
+    f: Regex,
+    word: str,
+    alphabet: Alphabet | None = None,
+    cap: int = DEFAULT_STATE_CAP,
+) -> bool:
+    """Is ``word`` a shortest word in exactly one of the languages of e and f?
+
+    ``word`` must separate them by :func:`~regdist.derivatives.member`, and
+    :func:`literal_separation` must find no shorter one.
+    """
+    return member(e, word) != member(f, word) and literal_separation(e, f, alphabet, cap) == len(word)

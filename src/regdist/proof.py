@@ -7,9 +7,13 @@ node constructors are the kernel: each states its rule's shape and side
 condition once, and the checker validates a node by rebuilding it from its
 premises with that same constructor and comparing the results.
 Infinitary arguments are packaged as named templates: the document names a
-schema and parameters, never a proof.  The checker settles a ``star_unroll``
-template by re-deriving and checking finite instances, and a ``descent``
-template by checking a bisimulation with literal derivatives.
+schema and parameters, never a proof.  The checker settles each template by
+the one finite side condition its argument rests on.  A ``star_unroll``
+template (Salomaa's rule) needs its loop hypothesis ``g = e;g + f``, with
+``o(e) = 0``, among the document's hypotheses: every unrolling past depth 0
+stands on that hypothesis and on nothing else the document says.  A
+``descent`` template needs no word to separate its two sides, by a walk with
+literal derivatives (:func:`regdist.metric.literal_separation`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Iterable
 
 from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build
 from .derivatives import fundamental_decomposition, output, output_bit, step
-from .metric import Config, ExponentValue, bisim_closure, check_bisim, separating_word
+from .metric import Config, ExponentValue, literal_separation, separating_word
 from .syntax import (
     Alphabet,
     Letter,
@@ -43,8 +47,8 @@ from .syntax import (
     _printer,
 )
 
-DEFAULT_SPOT_CHECKS = 8
-MAX_SPOT_INDEX = 4096  # a template instance costs time and memory in its depth
+DEFAULT_SPOT_CHECKS = 8  # salomaa_rule records the spot indices 0 to this
+MAX_SPOT_INDEX = 4096  # the largest spot index a document may record
 
 _ZERO = Fraction(0)
 
@@ -97,7 +101,7 @@ class CheckError(Exception):
 
 
 class _TemplateRefused(Exception):
-    """A template generator declined the given parameters."""
+    """A template schema declined its parameters or conclusion."""
 
 
 @dataclass(frozen=True)
@@ -615,8 +619,16 @@ def _check_node(
                 return _fail(d.rule, path, "takes no premises")
             if j.eps != 0:
                 return _fail(d.rule, path, "templates conclude at bound 0")
-            if d.meta.schema not in TEMPLATE_SCHEMAS:
+            schema = TEMPLATE_SCHEMAS.get(d.meta.schema)
+            if schema is None:
                 return _fail(d.rule, path, f"unknown schema {d.meta.schema!r}")
+            deepest = max(d.meta.spot_indices, default=0)
+            if deepest > MAX_SPOT_INDEX:
+                return _fail(d.rule, path, f"spot index {deepest} is over the budget of {MAX_SPOT_INDEX}")
+            try:
+                schema(dict(d.meta.params), j, hyps)
+            except (_TemplateRefused, ProofError, RegexError, StateLimitExceeded) as exc:
+                return _fail(d.rule, path, f"schema {d.meta.schema!r} refused: {exc}")
             return None
         case Rule.NEXP if not d.premises and isinstance(j.left, (Zero, One, Letter)):
             return None if j.left == j.right else _fail(d.rule, path, "constant sides differ")
@@ -637,18 +649,13 @@ def diagnose(
     root: Derivation,
     cfg: Config,
     hypotheses: Iterable[Judgement] = (),
-    spot_checks: int = DEFAULT_SPOT_CHECKS,
 ) -> CheckError | None:
     """Check every node; None when the derivation is valid, else the first
     failure found with its location.
 
-    A ``star_unroll`` template is checked at its recorded instances and at
-    instances 0 to ``spot_checks``, which must be at least 1: instance 0
-    alone is the trivial bound 1 and never exercises the template.  A
-    ``descent`` template is settled by a bisimulation and builds no instance.
+    Each distinct node is checked once.  A template node is settled by its
+    schema's side condition (see the module docstring) and builds no instance.
     """
-    if spot_checks < 1:
-        raise ValueError(f"spot checks must be at least 1, got {spot_checks}")
     hyps = frozenset(hypotheses)
     seen: set[int] = set()
     stack: list[tuple[Derivation, _Path]] = [(root, ())]
@@ -660,69 +667,21 @@ def diagnose(
         err = _check_node(d, path, cfg, hyps)
         if err is not None:
             return err
-        if d.rule is Rule.CONT_TEMPLATE:
-            err = _expand_template(d, path, cfg, hyps, spot_checks, stack)
-            if err is not None:
-                return err
         for i, p in enumerate(d.premises):
             stack.append((p, (i, path)))
     return None
 
 
-def _expand_template(
-    d: Derivation,
-    path: _Path,
-    cfg: Config,
-    hyps: frozenset[Judgement],
-    spot_checks: int,
-    stack: list[tuple[Derivation, _Path]],
-) -> CheckError | None:
-    schema = d.meta.schema
-    assert schema is not None
-    generator = TEMPLATE_SCHEMAS[schema]
-    deepest = max(d.meta.spot_indices, default=0)
-    if deepest > MAX_SPOT_INDEX:
-        return _fail(d.rule, path, f"spot index {deepest} is over the budget of {MAX_SPOT_INDEX}")
-    try:
-        instantiate = generator(dict(d.meta.params), d.conclusion, cfg)
-    except (_TemplateRefused, ProofError, RegexError, CertificateError, StateLimitExceeded) as exc:
-        return _fail(d.rule, path, f"schema {schema!r} refused: {exc}")
-    if instantiate is None:  # the schema settled its conclusion itself
-        return None
-    for i in sorted(set(d.meta.spot_indices) | set(range(spot_checks + 1))):
-        try:
-            inst = instantiate(i)
-        except (_TemplateRefused, ProofError, RegexError) as exc:
-            return _fail(d.rule, path, f"instance {i} failed to build: {exc}")
-        want = Judgement(d.left, d.right, cfg.discount**i)
-        if inst.conclusion != want:
-            return _fail(
-                d.rule,
-                path,
-                f"instance {i} concludes {pretty(inst.left)} = {pretty(inst.right)}"
-                f" within {inst.eps}, expected bound {want.eps}",
-            )
-        stack.append((inst, (i, path)))
-    return None
+def check(root: Derivation, cfg: Config, hypotheses: Iterable[Judgement] = ()) -> bool:
+    return diagnose(root, cfg, hypotheses) is None
 
 
-def check(
-    root: Derivation,
-    cfg: Config,
-    hypotheses: Iterable[Judgement] = (),
-    spot_checks: int = DEFAULT_SPOT_CHECKS,
-) -> bool:
-    return diagnose(root, cfg, hypotheses, spot_checks) is None
+def check_certificate(cert: Certificate) -> bool:
+    return check(cert.root, cert.config, cert.hypotheses)
 
 
-def check_certificate(cert: Certificate, spot_checks: int = DEFAULT_SPOT_CHECKS) -> bool:
-    return check(cert.root, cert.config, cert.hypotheses, spot_checks)
-
-
-def diagnose_certificate(
-    cert: Certificate, spot_checks: int = DEFAULT_SPOT_CHECKS
-) -> CheckError | None:
-    return diagnose(cert.root, cert.config, cert.hypotheses, spot_checks)
+def diagnose_certificate(cert: Certificate) -> CheckError | None:
+    return diagnose(cert.root, cert.config, cert.hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,35 +999,38 @@ def star_unroll_proof(hyp: Judgement, n: int, cfg: Config) -> Derivation:
     return proof
 
 
-def salomaa_rule(
-    hyp: Judgement, cfg: Config, spot_checks: int = DEFAULT_SPOT_CHECKS
-) -> Derivation:
+def salomaa_rule(hyp: Judgement, cfg: Config) -> Derivation:
     """The closed solution ``g = e*;f`` at bound 0, as a template node.
 
-    The checker regenerates unrollings of the hypothesis at the recorded
-    depths (and its own) and validates each; the limit holds because the
-    bounds ``discount ** n`` vanish.
+    The unrollings of :func:`star_unroll_proof` reach every bound
+    ``discount ** n``, and those bounds vanish.  Each unrolling stands on the
+    hypothesis alone, so the checker asks for it among the document's
+    hypotheses and builds none of them.  The node records the spot indices
+    0 to :data:`DEFAULT_SPOT_CHECKS`.
     """
     g, e, f = _split_loop_hypothesis(hyp)
     params = {"g": pretty(g), "e": pretty(e), "f": pretty(f)}
     concl = Judgement(g, Seq(Star(e), f), Fraction(0))
-    return cont_template("star_unroll", params, concl, range(spot_checks + 1))
+    return cont_template("star_unroll", params, concl, range(DEFAULT_SPOT_CHECKS + 1))
 
 
-def _star_unroll_template(
-    params: dict[str, str], conclusion: Judgement, cfg: Config
-) -> Callable[[int], Derivation]:
+def _template_params(params: dict[str, str], *names: str) -> list[Regex]:
     try:
-        g = parse(params["g"])
-        e = parse(params["e"])
-        f = parse(params["f"])
+        return [parse(params[name]) for name in names]
     except KeyError as exc:
         raise _TemplateRefused(f"missing parameter {exc}") from exc
+
+
+def _star_unroll_template(params: dict[str, str], conclusion: Judgement, hyps: frozenset[Judgement]) -> None:
+    """Settle ``g = e*;f`` at bound 0 by Salomaa's rule: the loop hypothesis
+    ``g = e;g + f``, with ``o(e) = 0``, must be among the hypotheses."""
+    g, e, f = _template_params(params, "g", "e", "f")
     hyp = Judgement(g, Sum(Seq(e, g), f), Fraction(0))
     _split_loop_hypothesis(hyp)
     if conclusion != Judgement(g, Seq(Star(e), f), Fraction(0)):
         raise _TemplateRefused("conclusion does not match the parameters")
-    return lambda i: star_unroll_proof(hyp, i, cfg)
+    if hyp not in hyps:
+        raise _TemplateRefused(f"the loop hypothesis {pretty(g)} = {pretty(hyp.right)} is not among the hypotheses")
 
 
 # ---------------------------------------------------------------------------
@@ -1186,28 +1148,20 @@ def iterate_proof(
     return ctx.root_proof(n)
 
 
-def _descent_template(params: dict[str, str], conclusion: Judgement, cfg: Config) -> None:
+def _descent_template(params: dict[str, str], conclusion: Judgement, hyps: frozenset[Judgement]) -> None:
     """Settle ``left = right within 0`` by the continuity rule.  Its premises,
-    ``left = right within discount ** n`` for every n, all hold just when the
-    reachable state pairs form a bisimulation, checked with literal
-    derivatives; no instance is built."""
-    try:
-        left = parse(params["left"])
-        right = parse(params["right"])
-    except KeyError as exc:
-        raise _TemplateRefused(f"missing parameter {exc}") from exc
+    ``left = right within discount ** n`` for every n, all hold just when no
+    word separates the two sides, found with literal derivatives."""
+    left, right = _template_params(params, "left", "right")
     if conclusion != Judgement(left, right, Fraction(0)):
         raise _TemplateRefused("conclusion does not match the parameters")
-    alphabet = infer_alphabet(left, right)
-    if not check_bisim(bisim_closure(left, right, alphabet, DEFAULT_STATE_CAP), left, right, alphabet):
+    if literal_separation(left, right, cap=DEFAULT_STATE_CAP) is not None:
         raise _TemplateRefused("the languages are apart; no descent to 0 exists")
-    return None
 
 
-# Each schema either refuses its parameters, returns the instance generator
-# the checker spot-checks (``star_unroll``), or settles its conclusion itself
-# and returns None (``descent``).
-TEMPLATE_SCHEMAS: dict[str, Callable[[dict[str, str], Judgement, Config], Callable[[int], Derivation] | None]] = {
+# Each schema refuses its parameters, conclusion and hypotheses by raising, or
+# settles its conclusion and returns.
+TEMPLATE_SCHEMAS: dict[str, Callable[[dict[str, str], Judgement, frozenset[Judgement]], None]] = {
     "star_unroll": _star_unroll_template,
     "descent": _descent_template,
 }

@@ -9,9 +9,8 @@ import pytest
 import regdist
 from regdist import automaton, cli, metric, proof
 from regdist.cli import main
-from regdist.derivatives import output
 from regdist.proof import diagnose_certificate, from_json
-from regdist.syntax import One, Sum, parse
+from regdist.syntax import parse
 
 from descent_reference import kleene_descent as reference_descent
 
@@ -152,30 +151,17 @@ def _ab_star_pair(k):
 
 def test_dist_verify_checks_a_bisimulation_when_equal(capsys):
     # Enumerating every word up to the count of reachable pairs (21) over
-    # two letters does not finish; checking that they form a bisimulation does.
+    # two letters does not finish; one literal walk over the pairs does.
     code, out, _ = run(capsys, "dist", *_ab_star_pair(20), "--verify")
     assert code == 0
     assert "witness: -" in out
 
 
-def _drop_a_pair(rel):
-    return rel[:-1]
-
-
-def _flip_an_output(rel):
-    k = next(k for k, (u, _) in enumerate(rel) if not output(u))
-    return rel[:k] + [(Sum(rel[k][0], One()), rel[k][1])] + rel[k + 1 :]
-
-
-@pytest.mark.parametrize("patch", [_drop_a_pair, _flip_an_output])
-def test_dist_verify_mismatches_on_a_patched_relation(capsys, monkeypatch, patch):
-    def patched(rel, e, f, alphabet):
-        return metric.check_bisim(patch(list(rel)), e, f, alphabet)
-
-    monkeypatch.setattr(cli, "check_bisim", patched)
+def test_dist_verify_mismatches_when_the_walk_separates_an_equal_pair(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "literal_separation", lambda e, f, alphabet, cap: 3)
     code, _, err = run(capsys, "dist", *_ab_star_pair(20), "--verify")
     assert code == 3
-    assert "are not a bisimulation" in err
+    assert err.strip() == "verification mismatch: the product walk gives 0, but a literal walk separates them at length 3"
 
 
 def test_dist_dot_output(capsys, tmp_path):
@@ -398,8 +384,9 @@ def test_check_malformed_documents_exit_2(capsys, tmp_path, monkeypatch):
 
 
 def test_spot_checks_below_one_are_refused(capsys, tmp_path):
-    # a = a*;0 does not hold (distance 1/2); instance 0 of the template is
-    # the trivial bound 1, so checking it alone would accept the document
+    # a = a*;0 does not hold (distance 1/2), and the document lacks the loop
+    # hypothesis a = a;a + 0 that Salomaa's rule needs; no flag sets a count
+    # of unrollings to check
     doc = {
         "version": 1,
         "lambda": "1/2",
@@ -417,15 +404,16 @@ def test_spot_checks_below_one_are_refused(capsys, tmp_path):
     }
     target = tmp_path / "unroll.json"
     target.write_text(json.dumps(doc))
-    for k in ("0", "-1"):
-        code, out, err = run(capsys, "check", str(target), "--spot-checks", k)
-        assert code == 2 and out == "" and err.startswith("error:")
-        code, out, err = run(capsys, "prove", "a*", "a*;a*", "0", "--spot-checks", k)
-        assert code == 2 and out == "" and err.startswith("error:")
-    code, out, _ = run(capsys, "check", str(target), "--spot-checks", "1")
+    code, out, _ = run(capsys, "check", str(target))
     assert code == 1 and out.startswith("invalid:")
-    with pytest.raises(ValueError):
-        diagnose_certificate(from_json(json.dumps(doc)), 0)
+    assert "the loop hypothesis a = a;a + 0 is not among the hypotheses" in out
+    assert diagnose_certificate(from_json(json.dumps(doc))) is not None
+    for k in ("0", "-1", "1"):
+        for argv in (("check", str(target)), ("prove", "a*", "a*;a*", "0")):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, *argv, "--spot-checks", k)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --spot-checks" in capsys.readouterr().err
 
 
 def test_batch_table(capsys, monkeypatch):

@@ -3,17 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from regdist import metric
 from regdist.automaton import build
 from regdist.metric import (
     DIST_TOP,
     DIST_ZERO,
     Config,
     ExponentValue,
-    bisim_closure,
-    check_bisim,
     check_witness,
     distance,
     kleene_descent,
+    literal_separation,
     pair_count,
     separation,
     witness,
@@ -232,35 +232,29 @@ def test_sup_distance():
         sup_distance(a, {(0, 1): Fraction(1, 4)})
 
 
-def test_bisim_closure_of_a_real_zero_pair():
-    e, f = parse("(a+b)*"), parse("(a*;b*)*")
-    rel = bisim_closure(e, f, ("a", "b"))
-    assert len(rel) == 3
-    assert check_bisim(rel, e, f)
+def test_literal_separation_of_an_equal_pair_is_none():
+    assert literal_separation(parse("(a+b)*"), parse("(a*;b*)*"), ("a", "b")) is None
 
 
-def test_bisim_closure_of_a_trivial_pair_is_empty():
-    e, f = parse("a*"), parse("a*;1")
-    assert bisim_closure(e, f, ("a",)) == ()
-    assert check_bisim((), e, f)
+def test_literal_separation_of_a_trivial_pair_is_none_and_steps_nothing(monkeypatch):
+    # a* and a*;1 have one normal form, so the walk has no pair to step
+    monkeypatch.setattr(metric, "step", None)
+    assert literal_separation(parse("a*"), parse("a*;1"), ("a",)) is None
 
 
-def test_check_bisim_rejects_gaps():
-    e, f = parse("(a+b)*"), parse("(a*;b*)*")
-    rel = bisim_closure(e, f, ("a", "b"))
-    assert not check_bisim((), e, f)
-    assert not check_bisim(rel[:1], e, f)
+def test_literal_separation_of_a_and_one_is_zero():
+    assert literal_separation(Letter("a"), One()) == 0
 
 
-def test_check_bisim_rejects_output_mismatch():
-    assert not check_bisim(((Letter("a"), One()),), Letter("a"), One())
-
-
-def test_bisim_closure_of_a_separated_pair_fails_the_check():
+def test_literal_separation_of_a_separated_pair_is_its_separation():
     e, f = parse("a*"), parse("a+1")
-    rel = bisim_closure(e, f, ("a",))
-    assert rel  # nonempty, but contains an output-disagreeing pair
-    assert not check_bisim(rel, e, f)
+    assert literal_separation(e, f, ("a",)) == separation(e, f, ("a",)).exponent == 2
+
+
+def test_literal_separation_matches_separation_on_the_corpus(corpus):
+    for pair in corpus:
+        got = literal_separation(pair.left, pair.right, pair.alphabet)
+        assert got == separation(pair.left, pair.right, pair.alphabet).exponent
 
 
 def test_metric_against_oracle_sample(corpus):

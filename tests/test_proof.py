@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from regdist import proof
+from regdist import automaton, metric, proof
 from regdist.automaton import build, product_pairs
 from regdist.derivatives import fundamental_decomposition, output, step
 from regdist.metric import Config, ExponentValue, distance
@@ -337,6 +337,21 @@ def test_descent_check_does_not_reach_the_prover(monkeypatch):
     monkeypatch.setattr(proof, "_make_context", prover)
     monkeypatch.setattr(proof, "_ProofContext", prover)
     assert diagnose_certificate(cert) is None
+
+
+def test_checker_builds_no_automaton(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the checker built an automaton")
+
+    hyp = Judgement(parse("a*"), parse("a;a* + 1"), 0)
+    certs = [
+        from_json(to_json(Certificate(CFG, _descent_node("(a+b)*", "(a*;b*)*")))),
+        from_json(to_json(Certificate(CFG, salomaa_rule(hyp, CFG), (hyp,)))),
+    ]
+    for module in (automaton, metric, proof):
+        monkeypatch.setattr(module, "build", no_build)
+    for cert in certs:
+        assert diagnose_certificate(cert) is None
 
 
 def test_descent_template_over_the_state_cap_is_invalid(monkeypatch):
@@ -929,6 +944,24 @@ def test_star_unroll_bounds():
         assert diagnose(d, CFG, (j,)) is None
     # without the hypothesis in scope the proof is rejected
     assert diagnose(star_unroll_proof(j, 3, CFG), CFG) is not None
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("a", "a;a + 0"), ("a*", "a;a* + 1"), ("(a+b;c)*", "(a + b;c);(a+b;c)* + 1")],
+    ids=["letter", "star", "sum-guard"],
+)
+def test_star_unroll_proof_stands_on_its_hypothesis_alone(left, right):
+    # every unrolling stands on the hypothesis alone, which is why the checker
+    # settles a star_unroll template by finding it among the hypotheses
+    j = Judgement(parse(left), parse(right), 0)
+    for n in [*range(9), 2000]:
+        d = star_unroll_proof(j, n, CFG)
+        assert d.eps == Fraction(1, 2) ** n
+        assert diagnose(d, CFG, (j,)) is None
+        if 0 < n < 9:
+            err = diagnose(d, CFG)
+            assert err is not None and err.rule == "Hypothesis"
 
 
 def test_star_unroll_rejects_non_loop_hypotheses():
