@@ -10,7 +10,8 @@ import regdist
 from regdist import automaton, cli, metric, proof
 from regdist.cli import main
 from regdist.proof import diagnose_certificate, from_json
-from regdist.syntax import parse
+from regdist.derivatives import output
+from regdist.syntax import One, Sum, parse
 
 from descent_reference import kleene_descent as reference_descent
 
@@ -157,11 +158,35 @@ def test_dist_verify_checks_a_bisimulation_when_equal(capsys):
     assert "witness: -" in out
 
 
-def test_dist_verify_mismatches_when_the_walk_separates_an_equal_pair(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "literal_separation", lambda e, f, alphabet, cap: 3)
-    code, _, err = run(capsys, "dist", *_ab_star_pair(20), "--verify")
+def _drop_a_pair(pair, root):
+    # the pair whose outputs differ becomes the root pair, which the walk has seen
+    u, v = pair
+    return root if output(u) != output(v) else pair
+
+
+def _flip_an_output(pair, root):
+    u, v = pair
+    return (Sum(u, One()), v) if u != v and not output(u) and not output(v) else pair
+
+
+@pytest.mark.parametrize(
+    "patch,argv,found",
+    [
+        pytest.param(_drop_a_pair, ("a*", "a+1"), "1/4, but aa is not a shortest separating word", id="_drop_a_pair"),
+        pytest.param(
+            _flip_an_output, _ab_star_pair(20), "0, but a literal walk separates them at length 1", id="_flip_an_output"
+        ),
+    ],
+)
+def test_dist_verify_mismatches_on_a_patched_relation(capsys, monkeypatch, patch, argv, found):
+    # The literal walk's relation is the set of pairs it steps; patch the
+    # function that forms each pair, so the walk steps a wrong relation.
+    unordered = metric._unordered
+    root = unordered(*map(parse, argv))
+    monkeypatch.setattr(metric, "_unordered", lambda u, v: patch(unordered(u, v), root))
+    code, _, err = run(capsys, "dist", *argv, "--verify")
     assert code == 3
-    assert err.strip() == "verification mismatch: the product walk gives 0, but a literal walk separates them at length 3"
+    assert err.strip() == "verification mismatch: the product walk gives " + found
 
 
 def test_dist_dot_output(capsys, tmp_path):
