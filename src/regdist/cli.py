@@ -37,6 +37,7 @@ from .proof import (
     diagnose_certificate,
     from_json,
     normal_form_proof,
+    read_rational,
     synthesize,
     to_json,
 )
@@ -110,7 +111,7 @@ def _too_deep(exc: RecursionError) -> str:
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return read_rational(text)
     except (ValueError, ZeroDivisionError):
         raise RegexError(f"cannot read {text!r} as a rational") from None
 

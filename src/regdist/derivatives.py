@@ -23,17 +23,18 @@ def output_bit(e: Regex) -> Regex:
 
 def step(e: Regex, a: str) -> Regex:
     """The derivative of ``e`` by the letter ``a``, built literally."""
-    match e:
-        case Zero() | One():
-            return Zero()
-        case Letter(c):
-            return One() if c == a else Zero()
-        case Sum(l, r):
-            return Sum(step(l, a), step(r, a))
-        case Seq(l, r):
-            return Sum(Seq(step(l, a), r), Seq(output_bit(l), step(r, a)))
-        case Star(b):
-            return Seq(step(b, a), e)
+    t = type(e)
+    if t is Seq:
+        l, r = e.left, e.right
+        return Sum(Seq(step(l, a), r), Seq(output_bit(l), step(r, a)))
+    if t is Sum:
+        return Sum(step(e.left, a), step(e.right, a))
+    if t is Star:
+        return Seq(step(e.body, a), e)
+    if t is Letter:
+        return One() if e.char == a else Zero()
+    if t is Zero or t is One:
+        return Zero()
     raise TypeError(f"not a regex: {e!r}")
 
 

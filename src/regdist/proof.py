@@ -44,6 +44,7 @@ from .syntax import (
     pretty,
     state_normal,
     sum_nf,
+    _Parser,
     _printer,
 )
 
@@ -399,13 +400,21 @@ def _parse_expr(text: object, what: Callable[[], str], parsed: dict[str, Regex])
     got = parsed.get(text)
     if got is None:
         try:
-            got = parsed[text] = parse(text)
+            got = parsed[text] = _Parser(text, None, parsed).parse()
         except RegexError as exc:
             raise CertificateError(f"bad {what()}: {exc}") from exc
     return got
 
 
-_fraction = lru_cache(maxsize=1024)(Fraction)  # a few bound strings recur in every document
+def read_rational(text: str | int) -> Fraction:
+    """``Fraction(text)``, refusing exponent notation: ``1e10000000`` would take
+    seconds to expand, into more digits than ``str`` prints."""
+    if isinstance(text, str) and ("e" in text or "E" in text):
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
+
+
+_fraction = lru_cache(maxsize=1024)(read_rational)  # a few bound strings recur in every document
 
 
 def _parse_eps(text: object, what: Callable[[], str]) -> Fraction:

@@ -208,28 +208,35 @@ def state_normal(e: Regex) -> Regex:
     the call.
     """
     done: dict[int, Regex] = {}
+    get = done.get
     todo = [e]
     while todo:
-        x = todo.pop()
-        if id(x) in done:
-            continue
-        match x:
-            case Seq(l, r) if id(l) not in done:
-                todo += (x, l)
-            case Seq(l, r) if isinstance(done[id(l)], Zero):
-                done[id(x)] = done[id(l)]  # 0;y = 0, without visiting y
-            case Sum(l, r) | Seq(l, r) if id(l) not in done or id(r) not in done:
-                todo += (x, r, l)
-            case Star(b) if id(b) not in done:
-                todo += (x, b)
-            case Sum(l, r):
-                done[id(x)] = sum_nf(done[id(l)], done[id(r)])
-            case Seq(l, r):
-                done[id(x)] = seq_nf(done[id(l)], done[id(r)])
-            case Star(b):
-                done[id(x)] = Star(done[id(b)])
-            case _:
-                done[id(x)] = x
+        x = todo[-1]  # settled once its children are; a missing child is pushed
+        t = type(x)
+        if t is Seq:
+            l = get(id(x.left))
+            if type(l) is Zero:
+                done[id(x)] = l  # 0;y = 0, without visiting y
+            elif l is not None and (r := get(id(x.right))) is not None:
+                done[id(x)] = seq_nf(l, r)
+            else:
+                todo.append(x.left if l is None else x.right)
+                continue
+        elif t is Sum:
+            l, r = get(id(x.left)), get(id(x.right))
+            if l is None or r is None:
+                todo.append(x.left if l is None else x.right)
+                continue
+            done[id(x)] = sum_nf(l, r)
+        elif t is Star:
+            b = get(id(x.body))
+            if b is None:
+                todo.append(x.body)
+                continue
+            done[id(x)] = Star(b)
+        else:
+            done[id(x)] = x
+        todo.pop()
     return done[id(e)]
 
 
@@ -248,11 +255,29 @@ _ATOM_START = set("01(") | {chr(c) for c in range(ord("a"), ord("z") + 1)}
 
 
 class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet | None):
+    """Recursive descent.  ``groups``, used only without an alphabet, is a memo
+    of each parenthesized group's term by its whitespace-free inner text."""
+
+    def __init__(self, text: str, alphabet: Alphabet | None, groups: dict[str, Regex] | None = None):
         self.text = text
         self.chars = "".join(text.split())  # the text without its whitespace
         self.pos = 0  # in self.chars
         self.alphabet = alphabet
+        memo = groups is not None and alphabet is None
+        self.groups = groups if memo else {}
+        self.close: dict[int, int] = {}  # with a memo, each '(' to its matching ')'
+        opened = []
+        for i, c in enumerate(self.chars if memo else ""):
+            if c == "(":
+                opened.append(i)
+            elif c == ")" and opened:
+                self.close[opened.pop()] = i
+
+    def parse(self) -> Regex:
+        result = self.expr()
+        if self.peek() is not None:
+            raise self.error("trailing input")
+        return result
 
     def error(self, message: str) -> RegexError:
         # the position in the text as written: of the next character, or its end
@@ -292,10 +317,17 @@ class _Parser:
             self.pos += 1
             return Zero() if c == "0" else One()
         if c == "(":
+            end = self.close.get(self.pos)
+            key = self.chars[self.pos + 1 : end] if end else None
+            if (inner := self.groups.get(key)) is not None:  # it parsed alone, so here up to `end`
+                self.pos = end + 1
+                return inner
             self.pos += 1
             inner = self.expr()
             if self.peek() != ")":
                 raise self.error("expected ')'")
+            if key is not None:  # a group ends at its matching ')'
+                self.groups[key] = inner
             self.pos += 1
             return inner
         if "a" <= c <= "z":
@@ -313,11 +345,7 @@ def parse(text: str, alphabet: Alphabet | None = None) -> Regex:
     with ``;`` optional, iteration ``e*``.  Whitespace is ignored.  When an
     alphabet is given, letters outside it are rejected.
     """
-    p = _Parser(text, alphabet)
-    result = p.expr()
-    if p.peek() is not None:
-        raise p.error("trailing input")
-    return result
+    return _Parser(text, alphabet).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=120):
     """Run the CLI as its own process, so a stray traceback reaches stderr."""
     src = os.path.dirname(os.path.dirname(regdist.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -31,7 +31,7 @@ def run_process(*argv):
         capture_output=True,
         text=True,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -406,6 +406,59 @@ def test_check_malformed_documents_exit_2(capsys, tmp_path, monkeypatch):
     target.write_text(json.dumps(doc))
     code, _, err = run(capsys, "check", str(target))
     assert code == 2
+
+
+TOP_DOCUMENT = {
+    "version": 1,
+    "lambda": "1/2",
+    "hypotheses": [],
+    "root": {"rule": "Top", "conclusion": {"left": "1", "right": "0", "eps": "1"}, "premises": [], "meta": {}},
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("eps", "1e10000000"), ("lambda", "1e-10000000"), ("eps", "1e5000"), ("eps", "1E3")],
+)
+def test_check_refuses_exponent_notation_at_once(tmp_path, field, value):
+    # Fraction would expand 1e10000000 for seconds, and 1e5000 has too many digits to print
+    doc = json.loads(json.dumps(TOP_DOCUMENT))
+    if field == "lambda":
+        doc["lambda"] = value
+    else:
+        doc["root"]["conclusion"]["eps"] = value
+    target = tmp_path / "exp.json"
+    target.write_text(json.dumps(doc))
+    proc = run_process("check", str(target), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: bad {'lambda' if field == 'lambda' else 'node root conclusion bound'}: {value!r}"]
+
+
+def test_prove_and_lambda_refuse_exponent_notation():
+    proc = run_process("prove", "a", "b", "1e5000", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot read '1e5000' as a rational"]
+    proc = run_process("dist", "a", "b", "--lambda", "1e-1", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot read '1e-1' as a rational"]
+
+
+@pytest.mark.parametrize("text, value", [("1/4", "1/4"), ("0.25", "1/4"), ("3", "3")])
+def test_rationals_are_read_as_fractions_and_decimals(capsys, tmp_path, text, value):
+    doc = json.loads(json.dumps(TOP_DOCUMENT))
+    doc["root"]["conclusion"]["eps"] = text
+    target = tmp_path / "top.json"
+    target.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", str(target))
+    assert code == 1 and f"bound {value} is not 1" in out
+    doc["root"]["conclusion"]["eps"], doc["lambda"] = "1", text
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(target))
+    assert (code, err) == ((0, "") if text != "3" else (2, "error: discount must lie strictly between 0 and 1, got 3\n"))
+    code, out, _ = run(capsys, "prove", "a*", "a+1", text)
+    assert code == 0 and json.loads(out)["root"]["conclusion"]["eps"] == value
+    code, out, _ = run(capsys, "dist", "a", "b", "--lambda", text)
+    assert code == (0 if text != "3" else 2)
 
 
 def test_spot_checks_below_one_are_refused(capsys, tmp_path):

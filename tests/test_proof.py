@@ -606,6 +606,19 @@ def test_deserialize_requires_recorded_midpoints():
         deserialize(doc)
 
 
+def test_from_json_reads_a_recurring_group_as_one_object():
+    doc = {
+        "version": 1,
+        "lambda": "1/2",
+        "hypotheses": [{"left": "(a + b)*", "right": "c;(a + b)", "eps": "0"}],
+        "root": {"rule": "Top", "conclusion": {"left": "(a + b);a", "right": "b", "eps": "1"}, "premises": []},
+    }
+    cert = from_json(json.dumps(doc))
+    (h,), j = cert.hypotheses, cert.root.conclusion
+    assert h.left.body == Sum(Letter("a"), Letter("b"))
+    assert h.left.body is h.right.right is j.left.left
+
+
 def test_from_json_rejects_junk():
     with pytest.raises(CertificateError):
         from_json("{oops")

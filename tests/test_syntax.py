@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regdist.syntax import (
+    _Parser,
     _printer,
     _spine,
     Letter,
@@ -185,6 +186,41 @@ def test_parse_respects_explicit_alphabet():
     assert parse("a", ("a", "b")) == A
     with pytest.raises(RegexError):
         parse("c", ("a", "b"))
+
+
+def _outcome(read):
+    try:
+        return repr(read())
+    except RegexError as exc:
+        return f"RegexError: {exc}"
+
+
+junk = st.text(alphabet="ab01()+;* $", max_size=20)
+group_texts = st.one_of(
+    junk,
+    exprs.map(pretty),
+    st.builds(lambda e, j: f"({pretty(e)}){j}", exprs, junk),
+    st.builds(lambda j, e: f"{j}({pretty(e)})", junk, exprs),
+)
+
+
+@given(st.lists(group_texts, min_size=1, max_size=8))
+@settings(max_examples=300)
+def test_parsing_with_a_group_memo_matches_parsing_without(texts):
+    groups = {}  # shared by the texts, as by the strings of one document
+    for text in texts:
+        assert _outcome(lambda: _Parser(text, None, groups).parse()) == _outcome(lambda: parse(text))
+    assert all(value == parse(key) for key, value in groups.items())
+
+
+def test_a_memo_shares_each_parenthesized_group():
+    groups = {}
+    e = _Parser("(a + b)*;(a+b) + c(a + b)", None, groups).parse()
+    f = _Parser("((a+b))c", None, groups).parse()
+    assert e == parse("(a + b)*;(a+b) + c(a + b)") and f == parse("(a+b);c")
+    assert e.left.left.body is e.left.right is e.right.right is f.left is groups["a+b"]
+    with pytest.raises(RegexError, match="not in alphabet"):  # no memo under an alphabet
+        _Parser("(a+b)c", ("a", "b"), groups).parse()
 
 
 def test_pretty_spot_checks():
