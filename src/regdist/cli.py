@@ -190,8 +190,9 @@ def cmd_dist(args: argparse.Namespace) -> int:
     else:
         print(report.to_text())
         if descent is not None:
-            # kleene_descent builds every table in pair order, so none is sorted here
-            for i, table in enumerate(descent.trace):
+            # tables() makes each table in pair order when it is printed, so
+            # none is sorted here and one table is held at a time
+            for i, table in enumerate(descent.tables()):
                 cells = ", ".join(
                     f"({a},{b})={'inf' if ev.exponent is None else ev.exponent}"
                     for (a, b), ev in table.items()

@@ -58,13 +58,6 @@ def step_nf(e: Regex, a: str, memo: dict[tuple[Regex, str], Regex]) -> Regex:
     return got
 
 
-def word_derivative(e: Regex, w: str) -> Regex:
-    """Derivative of ``e`` by the word ``w``, one letter at a time."""
-    for ch in w:
-        e = step(e, ch)
-    return e
-
-
 def member(e: Regex, w: str) -> bool:
     """Whether ``w`` belongs to the language of ``e``: each letter's literal
     step is normalized, as the literal word derivative can double per letter."""

@@ -7,12 +7,12 @@ pairs reachable from the root pair (:func:`separating_word`), so they work on
 exponents and stay exact and independent of the particular discount;
 rationals only enter when a value is extracted.
 
-:func:`kleene_descent` is the paper's fixed point reference: it iterates the
-one-step operator over all pairs and backs ``dist --trace`` and the
-``iterations`` count.  It builds the pair graph once and, after the first
-step, re-evaluates only the pairs whose successors moved.  It works on
-exponents too; rational values come out of a table through
-:meth:`ExponentValue.value`.
+:func:`kleene_descent` is the paper's fixed point reference: the iteration of
+the one-step operator over all pairs, which backs ``dist --trace`` and the
+``iterations`` count.  It computes the iteration in closed form, from two
+numbers per pair found in one pass over the pair graph, and makes each step
+table only when it is asked for.  It works on exponents too; rational values
+come out of a table through :meth:`ExponentValue.value`.
 
 :func:`literal_separation` finds the separation a second way, with literal
 derivatives and no automaton, so that answers and certificates can be checked
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from typing import Iterator
 
 from .automaton import (
     DEFAULT_STATE_CAP,
@@ -71,10 +72,6 @@ class ExponentValue:
     def is_zero(self) -> bool:
         return self.exponent is None
 
-    def scaled(self) -> ExponentValue:
-        """Multiplication by one factor of the discount."""
-        return self if self.exponent is None else ExponentValue(self.exponent + 1)
-
     @classmethod
     def of_word(cls, word: str | None) -> ExponentValue:
         """The separation carried by a shortest separating word (None: equal)."""
@@ -100,43 +97,47 @@ def pair_count(n: int) -> int:
 
 @dataclass(frozen=True)
 class DescentResult:
-    """Outcome of the descending fixed point iteration.
+    """Outcome of the descending fixed point iteration, in closed form.
 
-    ``trace[0]`` is the top table and ``trace[i+1]`` one step on from
-    ``trace[i]``; when the iteration goes stationary the repeated table is
-    kept in the trace.  The final ``table`` maps pairs that never separate to
-    the exact value 0.
+    ``table`` is the fixed point, with the exact value 0 for a pair that
+    never separates.  ``pace[i]`` is the last step at which the i-th pair of
+    ``table`` holds the step count as its exponent.
     """
 
     table: Table
-    trace: tuple[Table, ...]
     iterations: int
+    pace: tuple[int, ...]
+
+    def tables(self) -> Iterator[Table]:
+        """The tables of steps 0 (the top table) to ``iterations``, each made
+        when it is asked for: a pair holds exponent k up to its pace, and its
+        value in ``table`` after."""
+        for k in range(self.iterations + 1):
+            at_k = ExponentValue(k)
+            yield {p: at_k if k <= pace else ev for (p, ev), pace in zip(self.table.items(), self.pace)}
 
 
 def kleene_descent(aut: QuotientAutomaton) -> DescentResult:
-    """Iterate the one-step operator from the top table until stationary.
+    """The iteration of the one-step operator from the top table, in one pass.
 
     One step maps a pair with disagreeing outputs to exponent 0, and any
     other to one more than the least exponent among its same-letter successor
-    pairs (None when every successor is diagonal or None).  The pair graph,
-    built once, evaluates the first step; a later step re-evaluates only the
-    pairs with a successor that moved in the step before, as every other
-    pair's value repeats.
-
-    A shortest separating word never revisits an unordered state pair, so
-    separable pairs settle within ``pair_count(n)`` steps and the iteration
-    is cut off there.  Pairs still carrying the cut-off exponent at that
-    point can never separate and are mapped to 0.
+    pairs (None when every successor is diagonal or None).  So step k holds
+    the least of k and ``sep``, the length of a shortest separating word, for
+    a pair with a walk of k steps over pairs of equal outputs, else None.
+    ``sep`` comes breadth first, backwards from the pairs whose outputs
+    differ; the longest walk from a pair that never separates comes from a
+    reverse topological pass, and is unbounded when a cycle is reachable.
+    The iteration stops when stationary, or at the cut-off ``pair_count(n)``,
+    which no shortest separating word reaches as it never revisits a pair.
     """
     n = aut.n_states
     cap = pair_count(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     base = [u * (2 * n - u - 3) // 2 - 1 for u in range(n)]  # (u, v) is pairs[base[u] + v]
-    none = cap + 1  # the exponent None, above every exponent the iteration reaches
     outputs, rows = aut.outputs, aut.transitions
     succs: list[list[int]] = []
     preds: list[list[int]] = [[] for _ in pairs]
-    exps: list[int] = []  # the first step, evaluated on the top table
     for p, (i, j) in enumerate(pairs):
         out: list[int] = []
         if outputs[i] == outputs[j]:
@@ -147,34 +148,28 @@ def kleene_descent(aut: QuotientAutomaton) -> DescentResult:
                         out.append(q)
                         preds[q].append(p)
         succs.append(out)
-        exps.append(0 if outputs[i] != outputs[j] else 1 if out else none)
-    evs = {0: DIST_TOP, none: DIST_ZERO}  # one shared value per exponent
-    trace = [dict.fromkeys(pairs, DIST_TOP)]
-    changed = [p for p, e in enumerate(exps) if e]
-    iterations = 0
-    while iterations < cap:
-        iterations += 1
-        evs[iterations] = ExponentValue(iterations)
-        if iterations > 1:
-            dirty = {p for q in changed for p in preds[q]}
-            new = {p: min(min([exps[q] for q in succs[p]]) + 1, none) for p in dirty}
-            changed = [p for p in dirty if new[p] != exps[p]]
-            for p in changed:
-                exps[p] = new[p]
-        table = dict(trace[-1])
-        for p in changed:
-            table[pairs[p]] = evs[exps[p]]
-        trace.append(table)
-        if not changed:
-            break
-    table = dict(trace[-1])
-    if changed:
-        # Cut off before going stationary.  An inseparable pair holds None or
-        # exactly the iteration count, reached in the last step; a separable
-        # pair has settled at its true exponent, at most cap - 1, because its
-        # shortest separating word visits distinct off-diagonal pairs.
-        table.update((pairs[p], DIST_ZERO) for p in changed if exps[p] == iterations)
-    return DescentResult(table=table, trace=tuple(trace), iterations=iterations)
+    sep: list[int | None] = [0 if outputs[i] != outputs[j] else None for i, j in pairs]
+    queue = [p for p, s in enumerate(sep) if s == 0]
+    for q in queue:  # grows while it is read, so breadth first
+        for p in preds[q]:
+            if sep[p] is None:
+                sep[p] = sep[q] + 1
+                queue.append(p)
+    # An inseparable pair keeps pace along its longest walk, or past the
+    # cut-off when a cycle is reachable; a separable pair's count stays -1.
+    pace = [cap if s is None else s for s in sep]
+    left = [len(out) if s is None else -1 for out, s in zip(succs, sep)]
+    queue = [p for p, k in enumerate(left) if k == 0]
+    for q in queue:
+        pace[q] = max([pace[r] + 1 for r in succs[q]], default=0)
+        for p in preds[q]:
+            left[p] -= 1
+            if left[p] == 0:
+                queue.append(p)
+    # A separable pair moves last at step sep, an inseparable one at pace + 1.
+    last = max([k if s is not None else k + 1 for s, k in zip(sep, pace)], default=-1)
+    table = {pq: DIST_ZERO if s is None else ExponentValue(s) for pq, s in zip(pairs, sep)}
+    return DescentResult(table=table, iterations=min(cap, last + 1), pace=tuple(pace))
 
 
 def separating_word(aut: QuotientAutomaton, s: int, t: int) -> str | None:

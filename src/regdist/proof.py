@@ -19,6 +19,7 @@ literal derivatives (:func:`regdist.metric.literal_separation`).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -543,6 +544,8 @@ def from_json(text: str) -> Certificate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise CertificateError(f"not valid JSON: a number of more than {sys.get_int_max_str_digits()} digits") from exc
     return deserialize(doc)
 
 
@@ -1139,22 +1142,6 @@ class _ProofContext:
 @lru_cache(maxsize=64)
 def _make_context(e: Regex, f: Regex, cfg: Config, alphabet: Alphabet, cap: int) -> _ProofContext:
     return _ProofContext(e, f, cfg, alphabet, cap)
-
-
-def iterate_proof(
-    e: Regex,
-    f: Regex,
-    n: int,
-    cfg: Config,
-    alphabet: Alphabet | None = None,
-    cap: int = DEFAULT_STATE_CAP,
-) -> Derivation:
-    """The n-th approximant: ``e = f`` within ``discount ** n`` or better
-    (the bound is exact once ``n`` reaches the separation exponent)."""
-    if alphabet is None:
-        alphabet = infer_alphabet(e, f)
-    ctx = _make_context(e, f, cfg, alphabet, cap)
-    return ctx.root_proof(n)
 
 
 def _descent_template(params: dict[str, str], conclusion: Judgement, hyps: frozenset[Judgement]) -> None:

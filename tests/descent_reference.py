@@ -1,18 +1,29 @@
 """The descending fixed point iteration as it was first written: a reference.
 
 ``kleene_descent`` here applies the one-step operator ``phi`` to every state
-pair at every step, starting from ``top_table``.  It is quadratic in the
-number of pairs and kept only so that the tests can compare
-``regdist.metric.kleene_descent``, which re-evaluates only the pairs whose
-successors moved, against it, result for result.
+pair at every step, starting from ``top_table``, and keeps every table.  It
+is quadratic in the number of pairs and kept only so that the tests can
+compare ``regdist.metric.kleene_descent``, which computes the same tables in
+closed form from one pass over the pair graph, against it: the final table,
+every step table and the step count.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 from regdist.automaton import QuotientAutomaton
-from regdist.metric import DIST_TOP, DIST_ZERO, DescentResult, ExponentValue, Table, pair_count
+from regdist.metric import DIST_TOP, DIST_ZERO, ExponentValue, Table, pair_count
+
+
+@dataclass(frozen=True)
+class ReferenceDescent:
+    """The final table, the trace of every step table, and the step count."""
+
+    table: Table
+    trace: tuple[Table, ...]
+    iterations: int
 
 
 def _all_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -51,7 +62,7 @@ def phi(aut: QuotientAutomaton, table: Table) -> Table:
     return out
 
 
-def kleene_descent(aut: QuotientAutomaton) -> DescentResult:
+def kleene_descent(aut: QuotientAutomaton) -> ReferenceDescent:
     """Iterate ``phi`` from the top table until stationary.
 
     A shortest separating word never revisits an unordered state pair, so
@@ -77,4 +88,4 @@ def kleene_descent(aut: QuotientAutomaton) -> DescentResult:
         for p, ev in table.items():
             if ev.exponent == iterations:
                 table[p] = DIST_ZERO
-    return DescentResult(table=table, trace=tuple(trace), iterations=iterations)
+    return ReferenceDescent(table=table, trace=tuple(trace), iterations=iterations)

@@ -1,10 +1,11 @@
 """The one-step distance operator on rational-valued tables.
 
-The library iterates the operator on exponents (``metric.kleene_descent``,
-with ``descent_reference.phi`` as its literal reference); these helpers
-state it over arbitrary rational tables, so that the tests can check the
-paper's contraction argument: monotone, nonexpansive in the sup norm, and
-with the exponent fixed point as its rational fixed point.
+The library computes the operator's iteration on exponents in closed form
+(``metric.kleene_descent``, with ``descent_reference.phi`` iterated as its
+literal reference); these helpers state the operator over arbitrary rational
+tables, so that the tests can check the paper's contraction argument:
+monotone, nonexpansive in the sup norm, and with the exponent fixed point as
+its rational fixed point.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from regdist.proof import (
 from regdist.syntax import Seq, Star, Sum, infer_alphabet, parse
 
 from conftest import rand_expr
+from descent_reference import kleene_descent as reference_descent
 from rational_tables import phi_rational, sup_distance, table_values
 
 HALF = Fraction(1, 2)
@@ -205,8 +206,12 @@ def test_criterion_06_fixed_point_properties_on_random_automata():
         phi_b = phi_rational(aut, tb, cfg)
         assert sup_distance(phi_a, phi_b) <= sup_distance(ta, tb)
 
-        # the ascending iteration from zero meets the descending one
+        # the ascending iteration from zero meets the descending one, whose
+        # tables are the literal iteration's
         res = kleene_descent(aut)
+        trace = tuple(res.tables())
+        ref = reference_descent(aut)
+        assert (res.table, trace, res.iterations) == (ref.table, ref.trace, ref.iterations)
         fixed = table_values(res.table, cfg)
         assert phi_rational(aut, fixed, cfg) == fixed
         rising = {p: Fraction(0) for p in ta}
@@ -219,7 +224,7 @@ def test_criterion_06_fixed_point_properties_on_random_automata():
         assert rising == fixed
 
         # the descending trace never increases, and stays rational
-        for earlier, later in zip(res.trace, res.trace[1:]):
+        for earlier, later in zip(trace, trace[1:]):
             assert all(later[p] <= earlier[p] for p in earlier)
         assert all(isinstance(v, Fraction) for v in fixed.values())
     assert time.monotonic() - t0 < 30

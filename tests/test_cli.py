@@ -133,6 +133,8 @@ def test_dist_verify_checks_a_long_witness_without_enumerating(capsys, monkeypat
 def test_dist_trace_prints_the_reference_descent(capsys, left, right, head):
     aut = automaton.build([parse(left), parse(right)])
     ref = reference_descent(aut)
+    res = metric.kleene_descent(aut)
+    assert (res.table, tuple(res.tables()), res.iterations) == (ref.table, ref.trace, ref.iterations)
     n = aut.n_states
     want = head + [f"states: {n}  pairs: {n * (n - 1) // 2}  iterations: {ref.iterations}"]
     for i, table in enumerate(ref.trace):
@@ -432,6 +434,16 @@ def test_check_refuses_exponent_notation_at_once(tmp_path, field, value):
     proc = run_process("check", str(target), timeout=10)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: bad {'lambda' if field == 'lambda' else 'node root conclusion bound'}: {value!r}"]
+
+
+def test_check_refuses_a_json_integer_past_the_digit_limit(tmp_path):
+    # json.loads raises a plain ValueError, not JSONDecodeError, on such a number
+    text = json.dumps(TOP_DOCUMENT).replace('"eps": "1"', '"eps": 1' + "0" * 5000)
+    target = tmp_path / "big.json"
+    target.write_text(text)
+    proc = run_process("check", str(target), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: not valid JSON: a number of more than {sys.get_int_max_str_digits()} digits"]
 
 
 def test_prove_and_lambda_refuse_exponent_notation():

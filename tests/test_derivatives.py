@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from regdist.derivatives import (
     output_bit,
     step,
     step_nf,
-    word_derivative,
 )
 from regdist.oracle import denote
 from regdist.syntax import Letter, One, Seq, Star, Sum, Zero, infer_alphabet, parse, pretty, state_normal
@@ -49,15 +49,9 @@ def test_step_keeps_the_raw_shape():
 
 
 def test_word_derivative_of_a_star():
-    d = word_derivative(Star(A), "aa")
+    d = reduce(step, "aa", Star(A))
     assert d == Sum(Seq(Zero(), Star(A)), Seq(One(), Seq(One(), Star(A))))
     assert pretty(d) == "0;a* + 1;(1;a*)"
-
-
-def test_word_derivative_folds_left():
-    e = parse("(a+b)*;a")
-    assert word_derivative(e, "") == e
-    assert word_derivative(e, "ab") == step(step(e, "a"), "b")
 
 
 def test_member_basics():
@@ -116,7 +110,7 @@ def test_step_nf_on_corpus_derivatives(corpus):
         for e in (pair.left, pair.right):
             memo = {}  # shared by all derivatives of the term, as in build
             for word in words:
-                x = state_normal(word_derivative(e, word))
+                x = state_normal(reduce(step, word, e))
                 for a in pair.alphabet:
                     assert step_nf(x, a, memo) == state_normal(step(x, a)), (pretty(x), a)
 

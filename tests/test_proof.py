@@ -33,7 +33,6 @@ from regdist.proof import (
     diagnose_certificate,
     from_json,
     generalized_prefix,
-    iterate_proof,
     normal_form_proof,
     normalization_proof,
     npref,
@@ -93,6 +92,12 @@ def valid(d, hypotheses=()):
     err = diagnose(d, CFG, hypotheses)
     assert err is None, err
     return True
+
+
+def root_proof(e, f, n):
+    """The prover's n-th approximant of ``e = f``: within ``discount ** n`` or
+    better, exact once ``n`` reaches the separation exponent."""
+    return proof._make_context(e, f, CFG, infer_alphabet(e, f), automaton.DEFAULT_STATE_CAP).root_proof(n)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,16 +1054,16 @@ def test_synthesize_empty_word_separation():
     assert check_certificate(cert)
 
 
-def test_iterate_proof_bounds():
+def test_root_proof_bounds():
     e, f = parse("a*"), parse("a+1")
-    d = iterate_proof(e, f, 1, CFG)
+    d = root_proof(e, f, 1)
     assert d.conclusion == Judgement(e, f, Fraction(1, 2))
     assert valid(d)
     # the bound stops improving at the separation exponent
-    d = iterate_proof(e, f, 5, CFG)
+    d = root_proof(e, f, 5)
     assert d.eps == Fraction(1, 4)
     assert valid(d)
-    d = iterate_proof(e, f, 0, CFG)
+    d = root_proof(e, f, 0)
     assert d.eps == 1
     assert valid(d)
 
@@ -1075,7 +1080,7 @@ def test_approximants_of_equal_corpus_pairs_check(corpus):
     assert pairs
     for p in pairs:
         for n in range(9):
-            d = weaken_to(iterate_proof(p.left, p.right, n, CFG), CFG.discount**n)
+            d = weaken_to(root_proof(p.left, p.right, n), CFG.discount**n)
             assert d.conclusion == Judgement(p.left, p.right, CFG.discount**n)
             assert valid(d)
 
