@@ -265,13 +265,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise CertificateError(f"cannot read {args.certificate}: {exc}") from exc
     cert = from_json(text)
-    err = diagnose_certificate(cert)
+    counts: dict[str, int] = {}
+    err = diagnose_certificate(cert, counts)
     j = cert.root.conclusion
     if args.json:
         out = {
             "valid": err is None,
             "conclusion": {"left": pretty(j.left), "right": pretty(j.right), "eps": str(j.eps)},
             "error": None if err is None else str(err),
+            **counts,
         }
         print(json.dumps(out, indent=2))
     elif err is None:

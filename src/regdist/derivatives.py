@@ -22,20 +22,52 @@ def output_bit(e: Regex) -> Regex:
 
 
 def step(e: Regex, a: str) -> Regex:
-    """The derivative of ``e`` by the letter ``a``, built literally."""
+    """The derivative of ``e`` by the letter ``a``, built literally; by a work
+    list when ``e`` is nested deeper than recursion goes."""
+    try:
+        return _step(e, a)
+    except RecursionError:
+        return _step_loop(e, a)
+
+
+def _step(e: Regex, a: str) -> Regex:
     t = type(e)
     if t is Seq:
         l, r = e.left, e.right
-        return Sum(Seq(step(l, a), r), Seq(output_bit(l), step(r, a)))
+        return Sum(Seq(_step(l, a), r), Seq(output_bit(l), _step(r, a)))
     if t is Sum:
-        return Sum(step(e.left, a), step(e.right, a))
+        return Sum(_step(e.left, a), _step(e.right, a))
     if t is Star:
-        return Seq(step(e.body, a), e)
+        return Seq(_step(e.body, a), e)
     if t is Letter:
         return One() if e.char == a else Zero()
     if t is Zero or t is One:
         return Zero()
     raise TypeError(f"not a regex: {e!r}")
+
+
+def _step_loop(e: Regex, a: str) -> Regex:
+    """:func:`_step`, once per distinct subterm object, children first."""
+    done: dict[int, Regex] = {}
+    todo = [e]
+    while todo:
+        x = todo[-1]
+        t = type(x)
+        kids = (x.left, x.right) if t is Seq or t is Sum else (x.body,) if t is Star else ()
+        missing = [k for k in kids if id(k) not in done]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        if t is Seq:
+            done[id(x)] = Sum(Seq(done[id(x.left)], x.right), Seq(output_bit(x.left), done[id(x.right)]))
+        elif t is Sum:
+            done[id(x)] = Sum(done[id(x.left)], done[id(x.right)])
+        elif t is Star:
+            done[id(x)] = Seq(done[id(x.body)], x)
+        else:
+            done[id(x)] = _step(x, a)
+    return done[id(e)]
 
 
 def step_nf(e: Regex, a: str, memo: dict[tuple[Regex, str], Regex]) -> Regex:

@@ -13,7 +13,11 @@ template (Salomaa's rule) needs its loop hypothesis ``g = e;g + f``, with
 ``o(e) = 0``, among the document's hypotheses: every unrolling past depth 0
 stands on that hypothesis and on nothing else the document says.  A
 ``descent`` template needs no word to separate its two sides, by a walk with
-literal derivatives (:func:`regdist.metric.literal_separation`).
+literal derivatives (:func:`regdist.metric.literal_separation`).  Two lemma
+rules conclude at bound 0 with no premises: ``Norm``, ``e = state_normal(e)``,
+and ``Unfold``, ``e = fundamental_decomposition(e, alphabet)``.  The checker
+settles each by recomputing its right side, and :func:`expand` replaces each
+by its rule-by-rule derivation.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class Rule(Enum):
     TIGHT = "Tight"
     HYPOTHESIS = "Hypothesis"
     CONT_TEMPLATE = "ContTemplate"
+    NORM = "Norm"
+    UNFOLD = "Unfold"
 
 
 class ProofError(ValueError):
@@ -131,6 +137,7 @@ class Meta:
     schema: str | None = None
     params: tuple[tuple[str, str], ...] = ()
     spot_indices: tuple[int, ...] = ()
+    alphabet: str | None = None
 
 
 _EMPTY_META = Meta()
@@ -310,6 +317,27 @@ def cont_template(
     return Derivation(Rule.CONT_TEMPLATE, conclusion, (), meta)
 
 
+def norm(e: Regex) -> Derivation:
+    """The lemma ``e = state_normal(e)`` at bound 0, which the checker settles
+    by recomputing the normal form; :func:`normalization_proof` derives it."""
+    return Derivation(Rule.NORM, Judgement(e, state_normal(e), _ZERO))
+
+
+def unfold(e: Regex, alphabet: Iterable[str] | None) -> Derivation:
+    """The lemma ``e = fundamental_decomposition(e, alphabet)`` at bound 0,
+    which the checker settles by recomputing the decomposition;
+    :func:`normal_form_proof` derives it.  The alphabet is recorded, and must
+    hold distinct letters in order, every letter of ``e`` among them."""
+    sigma = None if alphabet is None else "".join(alphabet)
+    if sigma is None or list(sigma) != sorted(set(sigma)) or not all("a" <= c <= "z" for c in sigma):
+        raise ProofError(f"needs its alphabet as distinct lowercase letters in order, got {sigma!r}")
+    stray = letters(e) - set(sigma)
+    if stray:
+        raise ProofError(f"letters {sorted(stray)} of {pretty(e)} missing from the alphabet")
+    concl = Judgement(e, fundamental_decomposition(e, tuple(sigma)), _ZERO)
+    return Derivation(Rule.UNFOLD, concl, (), Meta(alphabet=sigma))
+
+
 def _then(*parts: Derivation) -> Derivation:
     """Compose by transitivity, skipping Refl links."""
     kept = [p for p in parts if p.rule is not Rule.REFL] or parts[:1]
@@ -359,6 +387,8 @@ def serialize(cert: Certificate) -> dict:
             meta["letter"] = m.letter
         if m.schema is not None:
             meta.update(schema=m.schema, params=dict(m.params), spot_indices=list(m.spot_indices))
+        if m.alphabet is not None:
+            meta["alphabet"] = m.alphabet
         out = {"rule": d.rule.value, "conclusion": judgement(d.conclusion), "premises": [], "meta": meta}
         nodes[id(d)] = (d, out)
         todo += d.premises
@@ -503,6 +533,9 @@ def _meta(rule: Rule, raw: dict, at: Callable[[], str], parsed: dict[str, Regex]
         raise CertificateError(f"{at()}: letter must be a single character")
     if rule is Rule.TRIANG and midpoint is None:
         raise CertificateError(f"{at()}: transitivity needs its midpoint recorded")
+    if rule is Rule.UNFOLD:  # the checker refuses a missing or malformed alphabet
+        sigma = raw.get("alphabet")
+        return Meta(midpoint, letter, alphabet=sigma if isinstance(sigma, str) else None)
     if rule is not Rule.CONT_TEMPLATE:
         return Meta(midpoint, letter) if midpoint or letter else _EMPTY_META
     schema, params, spots = raw.get("schema"), raw.get("params", {}), raw.get("spot_indices", [])
@@ -602,6 +635,10 @@ def _replay(d: Derivation, cfg: Config) -> Derivation:
             return seq_cong(*ps)
         case Rule.NEXP, Star(), 1:
             return star_cong(*ps)
+        case Rule.NORM, _, 0:
+            return norm(d.left)
+        case Rule.UNFOLD, _, 0:
+            return unfold(d.left, d.meta.alphabet)
         case rule, left, 0 if rule in _AXIOMS:
             try:
                 return _AXIOMS[rule](left)
@@ -661,27 +698,34 @@ def diagnose(
     root: Derivation,
     cfg: Config,
     hypotheses: Iterable[Judgement] = (),
+    counts: dict[str, int] | None = None,
 ) -> CheckError | None:
     """Check every node; None when the derivation is valid, else the first
     failure found with its location.
 
     Each distinct node is checked once.  A template node is settled by its
-    schema's side condition (see the module docstring) and builds no instance.
+    schema's side condition (see the module docstring) and builds no instance,
+    a lemma node by recomputing its right side.  ``counts``, when given,
+    receives ``nodes``, the distinct nodes checked, and ``lemmas``, how many
+    of them are ``Norm`` or ``Unfold``.
     """
     hyps = frozenset(hypotheses)
     seen: set[int] = set()
+    lemmas = 0
+    err = None
     stack: list[tuple[Derivation, _Path]] = [(root, ())]
-    while stack:
+    while stack and err is None:
         d, path = stack.pop()
         if id(d) in seen:
             continue
         seen.add(id(d))
+        lemmas += d.rule is Rule.NORM or d.rule is Rule.UNFOLD
         err = _check_node(d, path, cfg, hyps)
-        if err is not None:
-            return err
         for i, p in enumerate(d.premises):
             stack.append((p, (i, path)))
-    return None
+    if counts is not None:
+        counts.update(nodes=len(seen), lemmas=lemmas)
+    return err
 
 
 def check(root: Derivation, cfg: Config, hypotheses: Iterable[Judgement] = ()) -> bool:
@@ -692,8 +736,8 @@ def check_certificate(cert: Certificate) -> bool:
     return check(cert.root, cert.config, cert.hypotheses)
 
 
-def diagnose_certificate(cert: Certificate) -> CheckError | None:
-    return diagnose(cert.root, cert.config, cert.hypotheses)
+def diagnose_certificate(cert: Certificate, counts: dict[str, int] | None = None) -> CheckError | None:
+    return diagnose(cert.root, cert.config, cert.hypotheses, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -800,12 +844,13 @@ def _drop_head(s: Regex, h: Regex) -> Regex | None:
     return None if s == h else s
 
 
-def aci_bridge(x: Regex, y: Regex) -> Derivation:
+def aci_bridge(x: Regex, y: Regex, normalize: Callable[[Regex], Derivation] = normalization_proof) -> Derivation:
     """``x = y`` at bound 0, for expressions equal up to ACI of + and the
-    unit laws: both sides normalized, meeting at their common normal form."""
+    unit laws: both sides normalized by ``normalize`` (the twin, or the
+    :func:`norm` lemma), meeting at their common normal form."""
     if x == y:
         return refl(x)
-    dx, dy = normalization_proof(x), normalization_proof(y)
+    dx, dy = normalize(x), normalize(y)
     if dx.right != dy.right:
         raise ProofError(f"{pretty(x)} and {pretty(y)} have different normal forms")
     return _chain(dx, symm(dy))
@@ -926,6 +971,34 @@ def _star_normal_form(f: Regex, alphabet: Alphabet) -> Derivation:
     return out
 
 
+def expand(cert: Certificate) -> Certificate:
+    """``cert`` with each lemma node replaced by its twin's derivation: a
+    ``Norm`` node by :func:`normalization_proof`, an ``Unfold`` node by
+    :func:`normal_form_proof`.  The result is the rule-by-rule certificate of
+    the same proof; a lemma its twin does not derive raises ProofError."""
+    done: dict[int, Derivation] = {}
+    todo = [cert.root]
+    while todo:
+        d = todo[-1]
+        missing = [p for p in d.premises if id(p) not in done]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        if id(d) in done:
+            continue
+        if d.rule is Rule.NORM:
+            new = normalization_proof(d.left)
+        elif d.rule is Rule.UNFOLD:
+            new = normal_form_proof(d.left, tuple(d.meta.alphabet or ""))
+        else:
+            new = Derivation(d.rule, d.conclusion, tuple(done[id(p)] for p in d.premises), d.meta)
+        if new.conclusion != d.conclusion:
+            raise ProofError(f"the {d.rule.value} node's twin concludes otherwise")
+        done[id(d)] = new
+    return Certificate(cert.config, done[id(cert.root)], cert.hypotheses)
+
+
 # ---------------------------------------------------------------------------
 # Prefixing by empty-word-free expressions
 
@@ -936,41 +1009,53 @@ def generalized_prefix(
     """From ``f = g`` within eps, derive ``e;f = e;g`` within ``eps_out``.
 
     Requires ``o(e) = 0`` and ``eps_out >= discount * eps``; the contraction
-    of a guarding letter is what pays for the looser bound.
+    of a guarding letter is what pays for the looser bound.  A work list
+    takes the guard apart in the order recursion would, so that a long
+    sequence guard does not recurse: a task prefixes a premise by a guard,
+    or joins the results on top of ``done``.
     """
-    if output(e) != 0:
-        raise ProofError(f"prefix {pretty(e)} accepts the empty word")
-    if eps_out < cfg.discount * premise.eps:
-        raise ProofError(
-            f"target bound {eps_out} below {cfg.discount} * {premise.eps}"
-        )
-    f, g = premise.left, premise.right
-    match e:
-        case Zero():
-            return weaken_to(_chain(zero_s(f), symm(zero_s(g))), eps_out)
-        case Letter(c):
-            return npref(premise, c, cfg, eps_out)
-        case Sum(e1, e2):
-            inner = sl5(
-                generalized_prefix(premise, e1, eps_out, cfg),
-                generalized_prefix(premise, e2, eps_out, cfg),
+    done: list[Derivation] = []
+    todo: list[tuple[str, Derivation | None, Regex]] = [("prefix", premise, e)]
+    while todo:
+        task, premise, e = todo.pop()
+        if task == "outer":  # prefix the inner result by the left guard
+            todo.append(("prefix", done.pop(), e))
+            continue
+        f, g = premise.left, premise.right
+        if task == "sum":
+            inner = sl5(*done[-2:])
+            done[-2:] = [_chain(d2(e.left, e.right, f), inner, symm(d2(e.left, e.right, g)))]
+            continue
+        if task == "seq":
+            e1, e2 = e.left, e.right
+            core = done.pop()
+            if output(e1):
+                core = seq_cong(refl_at(e1, eps_out), core)
+            done.append(_chain(symm(s_assoc(e1, e2, f)), core, s_assoc(e1, e2, g)))
+            continue
+        if output(e) != 0:
+            raise ProofError(f"prefix {pretty(e)} accepts the empty word")
+        if eps_out < cfg.discount * premise.eps:
+            raise ProofError(
+                f"target bound {eps_out} below {cfg.discount} * {premise.eps}"
             )
-            return _chain(d2(e1, e2, f), inner, symm(d2(e1, e2, g)))
-        case Seq(e1, e2):
-            if output(e1) == 0 and output(e2) == 0:
-                core = generalized_prefix(
-                    generalized_prefix(premise, e2, eps_out, cfg), e1, eps_out, cfg
-                )
-            elif output(e1) == 0:
+        match e:
+            case Zero():
+                done.append(weaken_to(_chain(zero_s(f), symm(zero_s(g))), eps_out))
+            case Letter(c):
+                done.append(npref(premise, c, cfg, eps_out))
+            case Sum(e1, e2):
+                todo += [("sum", premise, e), ("prefix", premise, e2), ("prefix", premise, e1)]
+            case Seq(e1, e2) if output(e1) == 0 and output(e2) == 0:
+                todo += [("seq", premise, e), ("outer", None, e1), ("prefix", premise, e2)]
+            case Seq(e1, e2) if output(e1) == 0:
                 lifted = seq_cong(refl_at(e2, premise.eps), premise)
-                core = generalized_prefix(lifted, e1, eps_out, cfg)
-            else:
-                core = seq_cong(
-                    refl_at(e1, eps_out),
-                    generalized_prefix(premise, e2, eps_out, cfg),
-                )
-            return _chain(symm(s_assoc(e1, e2, f)), core, s_assoc(e1, e2, g))
-    raise ProofError(f"cannot prefix with {pretty(e)}")
+                todo += [("seq", premise, e), ("prefix", lifted, e1)]
+            case Seq(e1, e2):
+                todo += [("seq", premise, e), ("prefix", premise, e2)]
+            case _:
+                raise ProofError(f"cannot prefix with {pretty(e)}")
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1076,14 +1161,16 @@ class _ProofContext:
         self.witness = separating_word(self.aut, *self.aut.roots)
         self.root_separation = ExponentValue.of_word(self.witness)
         self._pair_memo: dict[tuple[int, int, int], Derivation] = {}
-        self._bridge_memo: dict[tuple[int, int], Derivation] = {}
+        self._lemma_memo: dict[tuple[int, int | None], Derivation] = {}
 
-    def _bridge(self, i: int, k: int) -> Derivation:
-        """``step(states[i], a_k) = successor representative`` at bound 0."""
-        got = self._bridge_memo.get((i, k))
+    def _lemma(self, i: int, k: int | None) -> Derivation:
+        """State i's decomposition (``k`` None), or its bridge by letter ``k``:
+        ``step(states[i], a_k) = successor representative``, both at bound 0."""
+        got = self._lemma_memo.get((i, k))
         if got is None:
-            got = normalization_proof(step(self.aut.states[i], self.alphabet[k]))
-            self._bridge_memo[(i, k)] = got
+            e = self.aut.states[i]
+            got = unfold(e, self.alphabet) if k is None else norm(step(e, self.alphabet[k]))
+            self._lemma_memo[(i, k)] = got
         return got
 
     def _pair_proof(self, i: int, j: int, n: int) -> Derivation:
@@ -1123,20 +1210,18 @@ class _ProofContext:
             return top_rule(g, h)
         slots = []
         for k, a in enumerate(self.alphabet):
-            bg = self._bridge(i, k)
-            bh = self._bridge(j, k)
+            bg = self._lemma(i, k)
+            bh = self._lemma(j, k)
             sub = self._pair_proof(aut.transitions[i][k], aut.transitions[j][k], n - 1)
             premise = _chain(bg, sub, symm(bh))
             slots.append(npref(premise, a, self.cfg))
         folded = reduce(sl5, [*slots, refl(output_bit(g))])
-        nf_g = normal_form_proof(g, self.alphabet)
-        nf_h = normal_form_proof(h, self.alphabet)
-        return _chain(nf_g, folded, symm(nf_h))
+        return _chain(self._lemma(i, None), folded, symm(self._lemma(j, None)))
 
     def root_proof(self, n: int) -> Derivation:
         """Relate the two roots within ``discount ** min(n, separation exponent)``."""
         core = self._pair_proof(*self.aut.roots, n)
-        return _chain(normalization_proof(self.left), core, symm(normalization_proof(self.right)))
+        return _chain(norm(self.left), core, symm(norm(self.right)))
 
 
 @lru_cache(maxsize=64)
@@ -1184,7 +1269,7 @@ def synthesize(
     if epsilon < 0:
         raise ValueError(f"negative bound {epsilon}")
     if state_normal(e) == state_normal(f):
-        return Certificate(cfg, weaken_to(aci_bridge(e, f), epsilon))
+        return Certificate(cfg, weaken_to(aci_bridge(e, f, norm), epsilon))
     if alphabet is None:
         alphabet = infer_alphabet(e, f)
     ctx = _make_context(e, f, cfg, alphabet, cap)

@@ -384,6 +384,8 @@ def test_check_json_result(capsys, tmp_path):
         "valid": True,
         "conclusion": {"left": "a", "right": "b", "eps": "1/2"},
         "error": None,
+        "nodes": 12,
+        "lemmas": 2,
     }
 
 

@@ -18,14 +18,18 @@ from pathlib import Path
 
 import pytest
 
-from regdist.proof import diagnose_certificate, from_json
+from regdist.proof import SynthesisFailure, expand, synthesize, to_json
+from regdist.syntax import parse
 
 COMPAT = Path(__file__).resolve().parent / "compat"
-sys.path.insert(0, str(COMPAT.parent.parent / "bench"))
+sys.path.insert(0, str(COMPAT))
+
+from write_corpus import verdict  # noqa: E402  (it puts bench/ on the path)
 
 import workloads  # noqa: E402
 
 CORPORA = sorted(p.name for p in COMPAT.iterdir() if (p / "manifest.json").exists())
+RULE_BY_RULE = "v1-894c855"  # the last corpus written before lemma nodes
 
 
 def load(name: str) -> tuple[dict[str, str], list[dict]]:
@@ -35,16 +39,6 @@ def load(name: str) -> tuple[dict[str, str], list[dict]]:
     entries = json.loads((COMPAT / name / "manifest.json").read_text(encoding="utf-8"))["documents"]
     assert [e["id"] for e in entries] == list(texts)
     return texts, entries
-
-
-def verdict(text: str) -> dict:
-    try:
-        err = diagnose_certificate(from_json(text))
-    except ValueError:
-        return {"verdict": "malformed"}
-    if err is None:
-        return {"verdict": "valid"}
-    return {"verdict": "invalid", "rule": err.rule, "path": list(err.path)}
 
 
 def recorded(entry: dict) -> dict:
@@ -66,3 +60,23 @@ def test_every_recorded_mutant_keeps_its_verdict(name):
             mutant = workloads.mutate(texts[entry["id"]], random.Random(m["seed"]), m["kind"])
             assert hashlib.sha256(mutant.encode()).hexdigest() == m["sha256"], "workloads.mutate changed"
             assert verdict(mutant) == recorded(m), (entry["id"], m["kind"])
+
+
+def prove_tight(left: str, right: str):
+    """The certificate ``regdist prove --tight`` writes."""
+    e, f = parse(left), parse(right)
+    try:
+        return synthesize(e, f, 0)
+    except SynthesisFailure as exc:
+        return synthesize(e, f, exc.distance)
+
+
+def test_expanded_lemma_certificates_are_the_rule_by_rule_documents():
+    # replacing each Norm and Unfold node by its twin's derivation gives,
+    # byte for byte, what the prover wrote before it wrote lemma nodes
+    texts, entries = load(RULE_BY_RULE)
+    pairs = [e for e in entries if "left" in e]
+    assert len(pairs) == 126
+    for entry in pairs:
+        cert = prove_tight(entry["left"], entry["right"])
+        assert to_json(expand(cert)) == texts[entry["id"]], entry["id"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
-from regdist.derivatives import step
+from regdist.derivatives import _step_loop, step
 from regdist.syntax import Letter, One, Seq, Star, Sum, Zero, parse, pretty, state_normal
 
 from test_syntax import exprs
@@ -55,6 +55,19 @@ def test_kernels_agree_along_a_long_word():
         assert repr(state_normal(literal)) == repr(x)
     # the word as a term, deeper than repr recurses: equal keys are equal structure
     assert state_normal(parse(word)) == ref.state_normal(parse(word))
+
+
+@given(exprs, st.sampled_from("abc"))
+@settings(max_examples=200)
+def test_the_work_list_step_agrees_with_the_reference(e, a):
+    assert repr(_step_loop(e, a)) == repr(ref.step(e, a))
+
+
+def test_step_of_a_term_deeper_than_recursion_goes_is_a_loop():
+    want = One()  # the derivative of the first letter
+    for _ in range(4999):
+        want = Sum(Seq(want, Letter("a")), Seq(Zero(), One()))
+    assert step(parse("a" * 5000), "a") == want
 
 
 def test_step_refuses_a_non_regex():

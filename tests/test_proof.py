@@ -9,7 +9,7 @@ from regdist import automaton, metric, proof
 from regdist.automaton import build, product_pairs
 from regdist.derivatives import fundamental_decomposition, output, step
 from regdist.metric import Config, ExponentValue, distance
-from regdist.oracle import brute_witness, denote
+from regdist.oracle import brute_distance, brute_witness, denote
 from regdist.proof import (
     Certificate,
     CertificateError,
@@ -31,8 +31,10 @@ from regdist.proof import (
     deserialize,
     diagnose,
     diagnose_certificate,
+    expand,
     from_json,
     generalized_prefix,
+    norm,
     normal_form_proof,
     normalization_proof,
     npref,
@@ -59,6 +61,7 @@ from regdist.proof import (
     to_json,
     top_rule,
     triang,
+    unfold,
     unroll,
     weaken,
     weaken_to,
@@ -500,6 +503,8 @@ def _node_to_dict(d: Derivation) -> dict:
         out["meta"]["schema"] = m.schema
         out["meta"]["params"] = {k: v for k, v in m.params}
         out["meta"]["spot_indices"] = list(m.spot_indices)
+    if m.alphabet is not None:
+        out["meta"]["alphabet"] = m.alphabet
     return out
 
 
@@ -662,9 +667,11 @@ def _distinct_subtrees(doc):
 
 
 def test_reader_rebuilds_the_proof_dag_and_the_checker_visits_it_once(monkeypatch):
-    # (a^12)* vs (a^13)*: 5,252 nodes in the text, 793 distinct subtrees
+    # (a^12)* vs (a^13)*, with its lemmas expanded: 5,252 nodes in the text,
+    # 793 distinct subtrees
     e, f = parse(f"({'a' * 12})*"), parse(f"({'a' * 13})*")
-    cert = synthesize(e, f, distance(e, f))
+    lemmas = synthesize(e, f, distance(e, f))
+    cert = expand(lemmas)
     read = from_json(to_json(cert))
     # serialize makes one dict per distinct prover object (more than 793:
     # the prover builds some equal nodes twice); the reader shares by content
@@ -674,6 +681,15 @@ def test_reader_rebuilds_the_proof_dag_and_the_checker_visits_it_once(monkeypatc
     monkeypatch.setattr(proof, "_check_node", lambda *a: calls.append(1) or check_node(*a))
     assert diagnose_certificate(read) is None
     assert len(calls) == 793
+    # the document prove writes: 157 nodes in the text, 147 distinct
+    # subtrees, 48 of them Norm or Unfold lemmas
+    read = from_json(to_json(lemmas))
+    assert _distinct(read.root, lambda d: d.premises) == _distinct_subtrees(serialize(lemmas)) == 147
+    assert json.dumps(serialize(lemmas)).count('"rule"') == 157
+    calls.clear()
+    counts = {}
+    assert diagnose_certificate(read, counts) is None
+    assert len(calls) == 147 and counts == {"nodes": 147, "lemmas": 48}
 
 
 def test_deserialize_reads_a_deep_document_without_recursion():
@@ -700,7 +716,7 @@ def _occurrences(doc):
 def _repeated_triang():
     """A written document, and a Triang subtree that occurs twice in it at
     paths whose parents differ: (first occurrence, later occurrence)."""
-    cert = synthesize(parse("(aaa)*"), parse("(aaaa)*"), Fraction(1, 8))
+    cert = expand(synthesize(parse("(aaa)*"), parse("(aaaa)*"), Fraction(1, 8)))
     doc = json.loads(to_json(cert))
     for group in _occurrences(doc).values():
         (first, _), (later, node) = (group * 2)[:2]
@@ -933,6 +949,143 @@ def test_normal_form_proof_needs_a_covering_alphabet():
 
 
 # ---------------------------------------------------------------------------
+# lemma nodes: settled by recomputation, expanded into their twins
+
+
+def test_lemmas_are_semantically_sound():
+    rng = random.Random(22)
+    for _ in range(150):
+        e = rand_expr(rng, rng.randint(1, 8))
+        alphabet = rng.choice([infer_alphabet(e), ("a", "b")])
+        for d in (norm(e), unfold(e, alphabet)):
+            aut = build([d.left, d.right], ("a", "b"))
+            bound = len(product_pairs(aut, *aut.roots))
+            assert d.eps == 0 >= brute_distance(d.left, d.right, ("a", "b"), bound, CFG.discount), d.rule
+            assert valid(d)
+
+
+def test_lemmas_conclude_what_their_twins_derive():
+    rng = random.Random(23)
+    for _ in range(60):
+        e = rand_expr(rng, rng.randint(1, 10))
+        alphabet = infer_alphabet(e)
+        assert norm(e).conclusion == normalization_proof(e).conclusion
+        assert unfold(e, alphabet).conclusion == normal_form_proof(e, alphabet).conclusion
+        assert unfold(e, alphabet).meta.alphabet == "".join(alphabet)
+
+
+def _lemma_document(rule, left, right, eps="0", premises=(), meta=None):
+    """A document whose root is Symm over one lemma node, so that the lemma
+    is checked at path ``0``."""
+    lemma = {
+        "rule": rule,
+        "conclusion": {"left": left, "right": right, "eps": eps},
+        "premises": list(premises),
+        "meta": {} if meta is None else meta,
+    }
+    root = {"rule": "Symm", "conclusion": {"left": right, "right": left, "eps": eps}, "premises": [lemma], "meta": {}}
+    return {"version": 1, "lambda": "1/2", "hypotheses": [], "root": root}
+
+
+_REFL_A = {"rule": "Refl", "conclusion": {"left": "a", "right": "a", "eps": "0"}, "premises": [], "meta": {}}
+_AB = "a;(1;b + 0;0) + b;(0;b + 0;1) + 0"  # the decomposition of a;b over {a, b}
+_AC = "a;(1;c + 0;0) + b;(0;c + 0;0) + 0"  # what a decomposition of a;c over {a, b} would be
+
+
+@pytest.mark.parametrize(
+    "rule, left, right, eps, premises, meta, reason",
+    [
+        ("Norm", "a;1 + 0", "a", "0", (), None, None),
+        ("Norm", "a;1 + 0", "b", "0", (), None, "sides do not fit"),
+        ("Norm", "a;1 + 0", "a", "0", (_REFL_A,), None, "wrong number of premises (1)"),
+        ("Norm", "a;1 + 0", "a", "1/2", (), None, "bound 1/2 is not 0"),
+        ("Unfold", "a;b", _AB, "0", (), {"alphabet": "ab"}, None),
+        ("Unfold", "a;b", _AB.replace("0;1", "0;0"), "0", (), {"alphabet": "ab"}, "sides do not fit"),
+        ("Unfold", "a;b", _AB, "0", (_REFL_A,), {"alphabet": "ab"}, "wrong number of premises (1)"),
+        ("Unfold", "a;b", _AB, "1/4", (), {"alphabet": "ab"}, "bound 1/4 is not 0"),
+        ("Unfold", "a;c", _AC, "0", (), {"alphabet": "ab"}, "letters ['c'] of a;c missing from the alphabet"),
+        ("Unfold", "a;b", _AB, "0", (), None, "needs its alphabet"),
+        ("Unfold", "a;b", _AB, "0", (), {"alphabet": 5}, "needs its alphabet"),
+        ("Unfold", "a;b", _AB, "0", (), {"alphabet": ["a", "b"]}, "needs its alphabet"),
+        ("Unfold", "a;b", _AB, "0", (), {"alphabet": "ba"}, "needs its alphabet"),
+        ("Unfold", "a;b", _AB, "0", (), {"alphabet": "aab"}, "needs its alphabet"),
+        ("Unfold", "a;b", _AB, "0", (), {"alphabet": "ab+"}, "needs its alphabet"),
+    ],
+    ids=[
+        "norm", "norm-wrong-right-side", "norm-premise", "norm-bound",
+        "unfold", "unfold-wrong-right-side", "unfold-premise", "unfold-bound", "unfold-stray-letter",
+        "unfold-no-alphabet", "unfold-alphabet-number", "unfold-alphabet-list", "unfold-alphabet-unsorted",
+        "unfold-alphabet-repeated", "unfold-alphabet-not-letters",
+    ],
+)
+def test_a_lemma_node_is_refused_at_its_path_naming_its_rule(rule, left, right, eps, premises, meta, reason):
+    err = diagnose_certificate(deserialize(_lemma_document(rule, left, right, eps, premises, meta)))
+    if reason is None:
+        assert err is None, err
+        return
+    assert err is not None and (err.rule, err.path) == (rule, (0,)), err
+    assert reason in err.reason
+    assert str(err).startswith(f"{rule} node at 0: ")
+
+
+def test_a_lemma_over_a_deep_expression_is_judged_without_recursion():
+    # the reader parses a ; or + chain of any length without recursion, and
+    # the literal derivative of one, which recursion cannot take, is a loop
+    word = "a" * 5000
+    chain = " + ".join("ab" * 2500)
+    unfolded = pretty(fundamental_decomposition(parse(chain), ("a", "b")))
+    docs = [
+        (_lemma_document("Norm", word, word), None),
+        (_lemma_document("Norm", word, "a"), "sides do not fit"),
+        (_lemma_document("Unfold", chain, unfolded, meta={"alphabet": "ab"}), None),
+        (_lemma_document("Unfold", word, "0", meta={"alphabet": "a"}), "sides do not fit"),
+        (_lemma_document("Unfold", word, "0", meta={"alphabet": "b"}), "missing from the alphabet"),
+    ]
+    for doc, reason in docs:
+        err = diagnose_certificate(from_json(json.dumps(doc)))
+        if reason is None:
+            assert err is None, err
+        else:
+            assert err is not None and (err.rule, err.path) == (doc["root"]["premises"][0]["rule"], (0,))
+            assert reason in err.reason
+
+
+def test_expand_replaces_each_lemma_by_its_twin():
+    e, f = parse("(aaa)*"), parse("(aaaa)*")
+    cert = synthesize(e, f, Fraction(1, 8))
+    rules = {d.rule for d in _nodes(cert.root)}
+    assert {Rule.NORM, Rule.UNFOLD} <= rules
+    full = expand(cert)
+    assert full.root.conclusion == cert.root.conclusion and full.config == cert.config
+    assert not {Rule.NORM, Rule.UNFOLD} & {d.rule for d in _nodes(full.root)}
+    assert diagnose_certificate(full) is None
+    assert expand(full) == full
+    # a lemma its twin does not derive is not expanded
+    bad = Derivation(Rule.UNFOLD, Judgement(A, B, 0), (), Meta(alphabet="a"))
+    with pytest.raises(ProofError):
+        expand(Certificate(CFG, symm(bad)))
+
+
+def test_expand_takes_a_long_chain_of_lemmas_without_recursion():
+    d = norm(Sum(A, Zero()))
+    for _ in range(5000):
+        d = symm(d)
+    full = expand(Certificate(CFG, d))
+    assert full.root.conclusion == d.conclusion
+    assert diagnose_certificate(full) is None
+
+
+def _nodes(root):
+    seen, todo = {}, [root]
+    while todo:
+        d = todo.pop()
+        if id(d) not in seen:
+            seen[id(d)] = d
+            todo += d.premises
+    return list(seen.values())
+
+
+# ---------------------------------------------------------------------------
 # guarded prefixes, unrollings, and the closed star solution
 
 
@@ -980,6 +1133,15 @@ def test_star_unroll_proof_stands_on_its_hypothesis_alone(left, right):
         if 0 < n < 9:
             err = diagnose(d, CFG)
             assert err is not None and err.rule == "Hypothesis"
+
+
+def test_star_unroll_over_a_long_word_guard_does_not_recurse():
+    # generalized_prefix takes a sequence guard apart by a work list
+    word, c = parse("a" * 1200), Letter("c")
+    j = Judgement(c, Sum(Seq(word, c), Zero()), 0)
+    d = star_unroll_proof(j, 1, CFG)
+    assert (d.left, d.right, d.eps) == (c, Seq(Star(word), Zero()), Fraction(1, 2))
+    assert diagnose(d, CFG, (j,)) is None
 
 
 def test_star_unroll_rejects_non_loop_hypotheses():
