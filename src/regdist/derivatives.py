@@ -22,52 +22,36 @@ def output_bit(e: Regex) -> Regex:
 
 
 def step(e: Regex, a: str) -> Regex:
-    """The derivative of ``e`` by the letter ``a``, built literally; by a work
-    list when ``e`` is nested deeper than recursion goes."""
-    try:
-        return _step(e, a)
-    except RecursionError:
-        return _step_loop(e, a)
-
-
-def _step(e: Regex, a: str) -> Regex:
-    t = type(e)
-    if t is Seq:
-        l, r = e.left, e.right
-        return Sum(Seq(_step(l, a), r), Seq(output_bit(l), _step(r, a)))
-    if t is Sum:
-        return Sum(_step(e.left, a), _step(e.right, a))
-    if t is Star:
-        return Seq(_step(e.body, a), e)
-    if t is Letter:
-        return One() if e.char == a else Zero()
-    if t is Zero or t is One:
-        return Zero()
-    raise TypeError(f"not a regex: {e!r}")
-
-
-def _step_loop(e: Regex, a: str) -> Regex:
-    """:func:`_step`, once per distinct subterm object, children first."""
-    done: dict[int, Regex] = {}
+    """The derivative of ``e`` by the letter ``a``, built literally, without
+    recursion: each subterm's derivative is built after its subterms'."""
+    order = []
     todo = [e]
-    while todo:
-        x = todo[-1]
+    while todo:  # pre-order, the right subterm first
+        x = todo.pop()
+        order.append(x)
         t = type(x)
-        kids = (x.left, x.right) if t is Seq or t is Sum else (x.body,) if t is Star else ()
-        missing = [k for k in kids if id(k) not in done]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        if t is Seq:
-            done[id(x)] = Sum(Seq(done[id(x.left)], x.right), Seq(output_bit(x.left), done[id(x.right)]))
-        elif t is Sum:
-            done[id(x)] = Sum(done[id(x.left)], done[id(x.right)])
+        if t is Seq or t is Sum:
+            todo += (x.left, x.right)
         elif t is Star:
-            done[id(x)] = Seq(done[id(x.body)], x)
+            todo.append(x.body)
+    out: list[Regex] = []  # derivatives of the subterms built and not yet used
+    for x in reversed(order):
+        t = type(x)
+        if t is Seq:
+            r = out.pop()
+            out[-1] = Sum(Seq(out[-1], x.right), Seq(output_bit(x.left), r))
+        elif t is Sum:
+            r = out.pop()
+            out[-1] = Sum(out[-1], r)
+        elif t is Star:
+            out[-1] = Seq(out[-1], x)
+        elif t is Letter:
+            out.append(One() if x.char == a else Zero())
+        elif t is Zero or t is One:
+            out.append(Zero())
         else:
-            done[id(x)] = _step(x, a)
-    return done[id(e)]
+            raise TypeError(f"not a regex: {x!r}")
+    return out[0]
 
 
 def step_nf(e: Regex, a: str, memo: dict[tuple[Regex, str], Regex]) -> Regex:
@@ -84,8 +68,12 @@ def step_nf(e: Regex, a: str, memo: dict[tuple[Regex, str], Regex]) -> Regex:
                     got = sum_nf(got, step_nf(r, a, memo))
             case Star(b):
                 got = seq_nf(step_nf(b, a, memo), e)
+            case Letter(c):
+                got = One() if c == a else Zero()
+            case Zero() | One():
+                got = Zero()
             case _:
-                got = step(e, a)
+                raise TypeError(f"not a regex: {e!r}")
         memo[e, a] = got
     return got
 

@@ -255,8 +255,9 @@ _ATOM_START = set("01(") | {chr(c) for c in range(ord("a"), ord("z") + 1)}
 
 
 class _Parser:
-    """Recursive descent.  ``groups``, used only without an alphabet, is a memo
-    of each parenthesized group's term by its whitespace-free inner text."""
+    """Left to right, without recursion.  ``groups``, used only without an
+    alphabet, is a memo of each parenthesized group's term by its
+    whitespace-free inner text."""
 
     def __init__(self, text: str, alphabet: Alphabet | None, groups: dict[str, Regex] | None = None):
         self.text = text
@@ -288,54 +289,59 @@ class _Parser:
         return self.chars[self.pos] if self.pos < len(self.chars) else None
 
     def expr(self) -> Regex:
-        acc = self.term()
-        while self.peek() == "+":
-            self.pos += 1
-            acc = Sum(acc, self.term())
-        return acc
-
-    def term(self) -> Regex:
-        acc = self.factor()
-        while (c := self.peek()) is not None and (c == ";" or c in _ATOM_START):
-            if c == ";":
+        """The expression from ``pos``: sums of sequences of starred atoms,
+        each operator folded left.  ``outer`` keeps, per open group, the
+        sum and sequence read before it and its memo key."""
+        outer: list[tuple[Regex | None, Regex | None, str | None]] = []
+        total = run = key = None  # the current group's sum, sequence and memo key
+        while True:
+            c = self.peek()  # an atom starts here
+            if c is None:
+                raise self.error("unexpected end of input")
+            if c == "(":
+                end = self.close.get(self.pos)
+                inner_key = self.chars[self.pos + 1 : end] if end else None
+                if (x := self.groups.get(inner_key)) is None:
+                    outer.append((total, run, key))
+                    total = run = None
+                    key = inner_key
+                    self.pos += 1
+                    continue
+                self.pos = end + 1  # it parsed alone, so here up to `end`
+            elif c in "01":
                 self.pos += 1
-            acc = Seq(acc, self.factor())
-        return acc
-
-    def factor(self) -> Regex:
-        acc = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            acc = Star(acc)
-        return acc
-
-    def atom(self) -> Regex:
-        c = self.peek()
-        if c is None:
-            raise self.error("unexpected end of input")
-        if c in "01":
-            self.pos += 1
-            return Zero() if c == "0" else One()
-        if c == "(":
-            end = self.close.get(self.pos)
-            key = self.chars[self.pos + 1 : end] if end else None
-            if (inner := self.groups.get(key)) is not None:  # it parsed alone, so here up to `end`
-                self.pos = end + 1
-                return inner
-            self.pos += 1
-            inner = self.expr()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            if key is not None:  # a group ends at its matching ')'
-                self.groups[key] = inner
-            self.pos += 1
-            return inner
-        if "a" <= c <= "z":
-            if self.alphabet is not None and c not in self.alphabet:
-                raise self.error(f"letter {c!r} not in alphabet {''.join(self.alphabet)!r}")
-            self.pos += 1
-            return Letter(c)
-        raise self.error(f"unexpected character {c!r}")
+                x = Zero() if c == "0" else One()
+            elif "a" <= c <= "z":
+                if self.alphabet is not None and c not in self.alphabet:
+                    raise self.error(f"letter {c!r} not in alphabet {''.join(self.alphabet)!r}")
+                self.pos += 1
+                x = Letter(c)
+            else:
+                raise self.error(f"unexpected character {c!r}")
+            while True:  # x is an atom; read on to where the next one starts
+                while self.peek() == "*":
+                    self.pos += 1
+                    x = Star(x)
+                run = x if run is None else Seq(run, x)
+                c = self.peek()
+                if c is not None and (c == ";" or c in _ATOM_START):
+                    if c == ";":
+                        self.pos += 1
+                    break
+                total = run if total is None else Sum(total, run)
+                run = None
+                if c == "+":
+                    self.pos += 1
+                    break
+                if not outer:
+                    return total
+                if c != ")":
+                    raise self.error("expected ')'")
+                if key is not None:  # a group ends at its matching ')'
+                    self.groups[key] = total
+                self.pos += 1
+                x = total
+                total, run, key = outer.pop()
 
 
 def parse(text: str, alphabet: Alphabet | None = None) -> Regex:

@@ -228,6 +228,17 @@ def test_dist_on_a_very_long_word_exits_2_without_a_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_prove_of_a_long_word_writes_a_certificate_that_checks(tmp_path):
+    # the Unfold node's right side opens a group per letter of the word
+    target = tmp_path / "long.json"
+    proc = run_process("prove", "--tight", "a" * 250, "b", "-o", str(target))
+    assert proc.returncode == 0, proc.stderr
+    assert "(" * 249 in target.read_text()
+    proc = run_process("check", str(target))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("valid:") and proc.stdout.rstrip().endswith(" = b within 1/2")
+
+
 def test_check_of_a_deep_descent_instance_is_valid(capsys, tmp_path):
     code, cert_text, _ = run(capsys, "prove", "a*", "a*;a*", "0")
     assert code == 0

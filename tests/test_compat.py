@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import importlib.util
 import json
 import random
 import sys
@@ -18,15 +19,15 @@ from pathlib import Path
 
 import pytest
 
-from regdist.proof import SynthesisFailure, expand, synthesize, to_json
+from regdist.proof import SynthesisFailure, diagnose_certificate, expand, from_json, synthesize, to_json
 from regdist.syntax import parse
 
 COMPAT = Path(__file__).resolve().parent / "compat"
-sys.path.insert(0, str(COMPAT))
 
-from write_corpus import verdict  # noqa: E402  (it puts bench/ on the path)
-
-import workloads  # noqa: E402
+# bench/workloads.py, for its mutate(), under a private name: sys.path stays as it is
+_spec = importlib.util.spec_from_file_location("_bench_workloads", COMPAT.parents[1] / "bench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 CORPORA = sorted(p.name for p in COMPAT.iterdir() if (p / "manifest.json").exists())
 RULE_BY_RULE = "v1-894c855"  # the last corpus written before lemma nodes
@@ -39,6 +40,18 @@ def load(name: str) -> tuple[dict[str, str], list[dict]]:
     entries = json.loads((COMPAT / name / "manifest.json").read_text(encoding="utf-8"))["documents"]
     assert [e["id"] for e in entries] == list(texts)
     return texts, entries
+
+
+def verdict(text: str) -> dict:
+    """What ``regdist check`` decides: malformed, invalid (with the failing
+    node's rule and path) or valid; ``write_corpus.verdict`` recorded it."""
+    try:
+        err = diagnose_certificate(from_json(text))
+    except ValueError:
+        return {"verdict": "malformed"}
+    if err is None:
+        return {"verdict": "valid"}
+    return {"verdict": "invalid", "rule": err.rule, "path": list(err.path)}
 
 
 def recorded(entry: dict) -> dict:

@@ -1029,13 +1029,17 @@ def test_a_lemma_node_is_refused_at_its_path_naming_its_rule(rule, left, right, 
 
 
 def test_a_lemma_over_a_deep_expression_is_judged_without_recursion():
-    # the reader parses a ; or + chain of any length without recursion, and
-    # the literal derivative of one, which recursion cannot take, is a loop
+    # the reader parses a ; or + chain and nested groups of any depth
+    # without recursion, and `step` derives one without recursion too
     word = "a" * 5000
     chain = " + ".join("ab" * 2500)
     unfolded = pretty(fundamental_decomposition(parse(chain), ("a", "b")))
+    deep = step(parse(word), "a")  # printed with 4,998 nested groups
+    nested, deep_unfolded = pretty(deep), pretty(fundamental_decomposition(deep, ("a",)))
     docs = [
         (_lemma_document("Norm", word, word), None),
+        (_lemma_document("Norm", "(" * 5000 + "a" + ")" * 5000, "a"), None),
+        (_lemma_document("Unfold", nested, deep_unfolded, meta={"alphabet": "a"}), None),
         (_lemma_document("Norm", word, "a"), "sides do not fit"),
         (_lemma_document("Unfold", chain, unfolded, meta={"alphabet": "ab"}), None),
         (_lemma_document("Unfold", word, "0", meta={"alphabet": "a"}), "sides do not fit"),

@@ -26,7 +26,7 @@ from regdist.syntax import (
     sort_key,
     state_normal,
 )
-from regdist.derivatives import output
+from regdist.derivatives import output, step
 
 A, B, C = Letter("a"), Letter("b"), Letter("c")
 
@@ -86,6 +86,14 @@ def test_a_shared_printer_prints_as_separate_calls_do(terms):
 
 def test_pretty_of_a_very_long_word_does_not_recurse():
     assert pretty(parse("a" * 5000)) == ";".join("a" * 5000)
+
+
+def test_parse_reads_groups_nested_deeper_than_the_stack():
+    assert parse("(" * 5000 + "a" + ")" * 5000) == Letter("a")
+    deep = step(parse("a" * 3000), "a")  # its printed form opens a group per letter
+    assert pretty(deep).startswith("(" * 2998 + "1;a") and parse(pretty(deep)) == deep
+    groups = {}
+    assert _Parser(pretty(deep), None, groups).parse() == deep and len(groups) == 2998
 
 
 @given(exprs)
