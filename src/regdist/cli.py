@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build, to_dot
@@ -29,10 +28,10 @@ from .metric import (
     literal_separation,
     pair_count,
     separating_word,
+    witness,
 )
 from .proof import (
     Certificate,
-    CertificateError,
     SynthesisFailure,
     diagnose_certificate,
     from_json,
@@ -59,50 +58,6 @@ def _render_witness(w: str | None) -> str:
     if w == "":
         return '""'
     return w
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """What one distance computation did and found."""
-
-    left: str
-    right: str
-    discount: Fraction
-    distance: Fraction
-    witness: str | None
-    states: int
-    pairs: int
-    iterations: int | None  # of the all-pairs descent, run only for --trace
-    elapsed_ms: float
-
-    def to_dict(self) -> dict:
-        out = {
-            "left": self.left,
-            "right": self.right,
-            "lambda": str(self.discount),
-            "distance": {"exact": str(self.distance), "decimal": _decimal(self.distance)},
-            "witness": self.witness,
-            "states": self.states,
-            "pairs": self.pairs,
-            "iterations": self.iterations,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-        if self.iterations is None:
-            del out["iterations"]
-        return out
-
-    def to_text(self) -> str:
-        counts = f"states: {self.states}  pairs: {self.pairs}"
-        if self.iterations is not None:
-            counts += f"  iterations: {self.iterations}"
-        return "\n".join(
-            [
-                f"distance: {self.distance} ({_decimal(self.distance)})",
-                f"witness: {_render_witness(self.witness)}",
-                counts,
-                f"time: {self.elapsed_ms:.2f} ms",
-            ]
-        )
 
 
 def _too_deep(exc: RecursionError) -> str:
@@ -151,6 +106,18 @@ def _parse_pair(args: argparse.Namespace, alphabet: Alphabet | None) -> tuple[Re
     return parse(args.left, alphabet), parse(args.right, alphabet)
 
 
+def _read_input(path: str) -> str:
+    """The text of the file at ``path``, or of stdin for ``-``; an unreadable
+    file is malformed input."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
 def _write_text(path: str | None, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -172,23 +139,27 @@ def cmd_dist(args: argparse.Namespace) -> int:
     dist = ExponentValue.of_word(w).value(cfg.discount)
     descent = kleene_descent(aut) if args.trace else None
     elapsed = (time.perf_counter() - t0) * 1000
-    report = RunReport(
-        left=args.left,
-        right=args.right,
-        discount=cfg.discount,
-        distance=dist,
-        witness=w,
-        states=aut.n_states,
-        pairs=pair_count(aut.n_states),
-        iterations=None if descent is None else descent.iterations,
-        elapsed_ms=elapsed,
-    )
+    counts = {"states": aut.n_states, "pairs": pair_count(aut.n_states)}
+    if descent is not None:
+        counts["iterations"] = descent.iterations
     if args.dot is not None:
         _write_text(args.dot, to_dot(aut))
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        report = {
+            "left": args.left,
+            "right": args.right,
+            "lambda": str(cfg.discount),
+            "distance": {"exact": str(dist), "decimal": _decimal(dist)},
+            "witness": w,
+            **counts,
+            "elapsed_ms": round(elapsed, 3),
+        }
+        print(json.dumps(report, indent=2))
     else:
-        print(report.to_text())
+        print(f"distance: {dist} ({_decimal(dist)})")
+        print(f"witness: {_render_witness(w)}")
+        print("  ".join(f"{k}: {v}" for k, v in counts.items()))
+        print(f"time: {elapsed:.2f} ms")
         if descent is not None:
             # tables() makes each table in pair order when it is printed, so
             # none is sorted here and one table is held at a time
@@ -256,15 +227,7 @@ def _parse_eps_arg(text: str) -> Fraction:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.certificate == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.certificate, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CertificateError(f"cannot read {args.certificate}: {exc}") from exc
-    cert = from_json(text)
+    cert = from_json(_read_input(args.certificate))
     counts: dict[str, int] = {}
     err = diagnose_certificate(cert, counts)
     j = cert.root.conclusion
@@ -285,17 +248,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     cfg, alphabet = _setup(args)
-    if args.file == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise RegexError(f"cannot read {args.file}: {exc}") from exc
     rows: list[str] = []
     failed = False
-    for line in lines:
+    for line in _read_input(args.file).splitlines():
         if not line.strip():
             continue
         cols = line.split("\t")
@@ -307,9 +262,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         try:
             e = parse(left_text, alphabet)
             f = parse(right_text, alphabet)
-            row_alpha = alphabet if alphabet is not None else infer_alphabet(e, f)
-            aut = build([e, f], row_alpha, args.cap)
-            w = separating_word(aut, *aut.roots)
+            w = witness(e, f, alphabet, args.cap)
             dist = ExponentValue.of_word(w).value(cfg.discount)
             rows.append(
                 "\t".join([left_text, right_text, str(dist), _render_witness(w), ""])
@@ -412,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so the interpreter's shutdown flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (RegexError, CertificateError, ValueError) as exc:
+    except ValueError as exc:  # RegexError and CertificateError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except StateLimitExceeded as exc:

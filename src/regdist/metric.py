@@ -84,7 +84,6 @@ class ExponentValue:
 
 
 DIST_ZERO = ExponentValue(None)
-DIST_TOP = ExponentValue(0)
 
 #: Pseudometric table: every off-diagonal unordered state pair gets a value.
 Table = dict[tuple[int, int], ExponentValue]

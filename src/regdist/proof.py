@@ -338,19 +338,13 @@ def unfold(e: Regex, alphabet: Iterable[str] | None) -> Derivation:
     return Derivation(Rule.UNFOLD, concl, (), Meta(alphabet=sigma))
 
 
-def _then(*parts: Derivation) -> Derivation:
-    """Compose by transitivity, skipping Refl links."""
-    kept = [p for p in parts if p.rule is not Rule.REFL] or parts[:1]
+def _chain(*parts: Derivation) -> Derivation:
+    """Compose by transitivity, skipping every link that just restates one side."""
+    kept = [p for p in parts if not (p.left == p.right and p.eps == 0)] or parts[:1]
     acc = kept[-1]
     for p in reversed(kept[:-1]):
         acc = triang(p, acc)
     return acc
-
-
-def _chain(*parts: Derivation) -> Derivation:
-    """Compose by transitivity, skipping every link that just restates one
-    side.  :func:`_then` skips Refl links alone and compares no expressions."""
-    return _then(*[p for p in parts if not (p.left == p.right and p.eps == 0)] or parts[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +474,6 @@ def _read_nodes(root: object, parsed: dict[str, Regex]) -> Derivation:
     """The proof DAG of a version-1 root node, by one work list that validates
     an occurrence before its premises and its meta after, as recursion would.
     An occurrence repeating an earlier one's fields and premises is that node."""
-    judged: dict[tuple, Judgement] = {}  # by the conclusion's strings
     memo: dict[tuple | None, Derivation] = {}
     done: list[Derivation] = []  # read nodes that their parent has not taken yet
     todo: list[tuple] = [(root, ())]
@@ -493,18 +486,10 @@ def _read_nodes(root: object, parsed: dict[str, Regex]) -> Derivation:
             rule = _RULE_TAGS.get(tag) if isinstance(tag, str) else None
             if rule is None:
                 raise CertificateError(f"node {_where(path)}: unknown rule tag {tag!r}")
-            try:
-                raw = c["left"], c["right"], c["eps"]
-                concl = judged.get(raw)
-            except (KeyError, TypeError):
-                concl = None
-            if concl is None:  # not seen yet: the validating path
-                concl = _judgement_from_dict(c, lambda: f"node {_where(path)} conclusion", parsed)
-                if type(raw[2]) is str:  # an int bound would equal a bool
-                    judged[raw] = concl
+            concl = _judgement_from_dict(c, lambda: f"node {_where(path)} conclusion", parsed)
             if not isinstance(ps, list):
                 raise CertificateError(f"node {_where(path)}: premises must be a list")
-            todo += [(d, path, rule, (tag, *raw), concl, len(ps))]
+            todo += [(d, path, rule, (tag, c["left"], c["right"], c["eps"]), concl, len(ps))]
             todo += [(ps[i], (i, path)) for i in range(len(ps) - 1, -1, -1)]
             continue
         rule, key, concl, n = rest
@@ -765,7 +750,7 @@ def normalization_proof(e: Regex) -> Derivation:
                 todo += (x, l)
             case Seq(l, r) if isinstance(done[id(l)].right, Zero):
                 # 0;y = 0, without visiting y
-                done[id(x)] = _then(_congruence(x, seq_cong, done[id(l)], refl(r)), zero_s(r))
+                done[id(x)] = _chain(_congruence(x, seq_cong, done[id(l)], refl(r)), zero_s(r))
             case Sum(l, r) | Seq(l, r) if id(l) not in done or id(r) not in done:
                 todo += (x, r, l)
             case Star(b) if id(b) not in done:
@@ -779,17 +764,17 @@ def normalization_proof(e: Regex) -> Derivation:
                     merge = triang(sl2(nl, nr), sl4(nr))  # 0 + y = y + 0 = y
                 else:
                     merge = _merge_sorted(nl, nr)
-                done[id(x)] = _then(_congruence(x, sum_cong, dl, dr), merge)
+                done[id(x)] = _chain(_congruence(x, sum_cong, dl, dr), merge)
             case Seq(l, r):
                 dl, dr = done[id(l)], done[id(r)]
                 nl, nr = dl.right, dr.right
                 d = _congruence(x, seq_cong, dl, dr)
                 if isinstance(nr, One):
-                    d = _then(d, s_one(nl))  # y;1 = y
+                    d = _chain(d, s_one(nl))  # y;1 = y
                 elif isinstance(nr, Zero):
-                    d = _then(d, s_zero(nl))  # y;0 = 0
+                    d = _chain(d, s_zero(nl))  # y;0 = 0
                 elif isinstance(nl, One):
-                    d = _then(d, one_s(nr))  # 1;y = y
+                    d = _chain(d, one_s(nr))  # 1;y = y
                 done[id(x)] = d
             case Star(b):
                 done[id(x)] = _congruence(x, star_cong, done[id(b)])
@@ -823,17 +808,17 @@ def _merge_sorted(x: Regex, y: Regex) -> Derivation:
         if x is not None and (ty := _drop_head(y, h)) is not y:
             d = sl2(x, h)  # x + h = h + x
             if ty is not None:  # x + (h + t) = (x + h) + t = (h + x) + t = h + (x + t)
-                d = _then(symm(sl3(x, h, ty)), sum_cong(d, refl(ty)), sl3(h, x, ty))
+                d = _chain(symm(sl3(x, h, ty)), sum_cong(d, refl(ty)), sl3(h, x, ty))
             levels.append((h, d))
             y = ty
     acc = refl(x or y)  # the unmerged tail of one side
     for h, d in reversed(levels):
-        acc = _then(d, _congruence(d.right, sum_cong, refl(h), acc))
+        acc = _chain(d, _congruence(d.right, sum_cong, refl(h), acc))
         r = _drop_head(acc.right.right, h)
         if r is None:  # h + h = h
-            acc = _then(acc, sl1(h))
+            acc = _chain(acc, sl1(h))
         elif r is not acc.right.right:  # h + (h + r) = (h + h) + r = h + r
-            acc = _then(acc, symm(sl3(h, h, r)), sum_cong(sl1(h), refl(r)))
+            acc = _chain(acc, symm(sl3(h, h, r)), sum_cong(sl1(h), refl(r)))
     return acc
 
 
@@ -870,7 +855,6 @@ def _dist_right(e: Regex, g: Regex) -> Derivation:
     )
 
 
-@lru_cache(maxsize=4096)
 def normal_form_proof(e: Regex, alphabet: Alphabet) -> Derivation:
     """Derivation of ``e = fundamental_decomposition(e, alphabet)`` at bound 0."""
     stray = letters(e) - set(alphabet)

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from regdist.automaton import QuotientAutomaton
-from regdist.metric import DIST_TOP, DIST_ZERO, ExponentValue, Table, pair_count
+from regdist.metric import DIST_ZERO, ExponentValue, Table, pair_count
+
+DIST_TOP = ExponentValue(0)  # the value 1 of a pair in the top table
 
 
 @dataclass(frozen=True)

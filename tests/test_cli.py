@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -38,24 +39,37 @@ def run_process(*argv, timeout=120):
 def test_dist_text_report(capsys):
     code, out, err = run(capsys, "dist", "a*", "a+1")
     assert code == 0
-    assert "distance: 1/4 (0.250000)" in out
-    assert "witness: aa" in out
-    assert "states: 4" in out
-    assert "iterations" not in out
+    *head, last = out.splitlines()
+    assert head == ["distance: 1/4 (0.250000)", "witness: aa", "states: 4  pairs: 6"]
+    assert re.fullmatch(r"time: \d+\.\d\d ms", last)
     code, out, err = run(capsys, "dist", "a*", "a+1", "--trace")
-    assert "iterations: 3" in out
+    assert out.splitlines()[2] == "states: 4  pairs: 6  iterations: 3"
 
 
 def test_dist_json_report(capsys):
     code, out, _ = run(capsys, "dist", "a*", "a+1", "--json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["distance"] == {"exact": "1/4", "decimal": "0.250000"}
-    assert doc["witness"] == "aa"
-    assert doc["lambda"] == "1/2"
-    assert doc["states"] == 4 and doc["pairs"] == 6 and "iterations" not in doc
+    assert re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": X', out) == "\n".join(
+        [
+            "{",
+            '  "left": "a*",',
+            '  "right": "a+1",',
+            '  "lambda": "1/2",',
+            '  "distance": {',
+            '    "exact": "1/4",',
+            '    "decimal": "0.250000"',
+            "  },",
+            '  "witness": "aa",',
+            '  "states": 4,',
+            '  "pairs": 6,',
+            '  "elapsed_ms": X',
+            "}\n",
+        ]
+    )
     code, out, _ = run(capsys, "dist", "a*", "a+1", "--json", "--trace")
     doc = json.loads(out)
+    keys = ["left", "right", "lambda", "distance", "witness", "states", "pairs", "iterations", "elapsed_ms"]
+    assert list(doc) == keys
     assert doc["distance"]["exact"] == "1/4" and doc["iterations"] == 3
 
 
@@ -517,6 +531,14 @@ def test_spot_checks_below_one_are_refused(capsys, tmp_path):
                 run(capsys, *argv, "--spot-checks", k)
             assert exc.value.code == 2
             assert "unrecognized arguments: --spot-checks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "batch"])
+def test_an_unreadable_input_file_is_malformed_input(tmp_path, command):
+    for path in (tmp_path / "missing.txt", tmp_path):  # no such file; a directory
+        proc = run_process(command, str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read {path}: ") and "Traceback" not in proc.stderr
 
 
 def test_batch_table(capsys, monkeypatch):

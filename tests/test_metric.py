@@ -7,7 +7,6 @@ import pytest
 from regdist import metric
 from regdist.automaton import build
 from regdist.metric import (
-    DIST_TOP,
     DIST_ZERO,
     Config,
     ExponentValue,
@@ -23,7 +22,7 @@ from regdist.oracle import brute_distance, brute_witness
 from regdist.syntax import Letter, One, parse
 
 from conftest import rand_expr
-from descent_reference import kleene_descent as reference_descent
+from descent_reference import DIST_TOP, kleene_descent as reference_descent
 from rational_tables import phi_rational, sup_distance, table_values
 
 HALF = Fraction(1, 2)

@@ -860,14 +860,18 @@ def _holds(left, right):
     return brute_witness(left, right, ("a", "b"), len(product_pairs(aut, s, t))) is None
 
 
-def test_merge_rules_are_semantically_sound():
+def test_zero_bound_rules_are_semantically_sound():
     rng = random.Random(10)
     for _ in range(200):
         e, f, g = (rand_expr(rng, rng.randint(1, 5)) for _ in range(3))
         dl, dr = normalization_proof(e), normalization_proof(f)
         assert _holds(dl.left, dl.right) and _holds(dr.left, dr.right)
-        for d in (sl1(e), sl2(e, f), sl3(e, f, g), sl4(e), sum_cong(dl, dr)):
-            assert _holds(d.left, d.right), d.rule
+        rules = [sl1(e), sl2(e, f), sl3(e, f, g), sl4(e), sum_cong(dl, dr)]
+        rules += [one_s(e), s_assoc(e, f, g), s_one(e), zero_s(e), s_zero(e)]
+        rules += [d1(e, f, g), d2(e, f, g), unroll(e), tight(e)]
+        rules += [seq_cong(dl, dr), star_cong(dl), norm(e), unfold(e, "ab")]
+        for d in rules:
+            assert d.eps == 0 and _holds(d.left, d.right), d.rule
 
 
 def test_normalization_proof_on_corpus_derivatives(corpus):
