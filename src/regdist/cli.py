@@ -19,7 +19,6 @@ import time
 from fractions import Fraction
 
 from .automaton import DEFAULT_STATE_CAP, StateLimitExceeded, build, to_dot
-from .derivatives import fundamental_decomposition
 from .metric import (
     Config,
     ExponentValue,
@@ -64,13 +63,6 @@ def _too_deep(exc: RecursionError) -> str:
     return f"input too deep to process ({exc})"
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return read_rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise RegexError(f"cannot read {text!r} as a rational") from None
-
-
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--lambda",
@@ -97,7 +89,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 def _setup(args: argparse.Namespace) -> tuple[Config, Alphabet | None]:
     if args.cap < 1:
         raise ValueError(f"state cap must be at least 1, got {args.cap}")
-    cfg = Config(discount=_rational(args.discount))
+    cfg = Config(discount=read_rational(args.discount))
     alphabet = make_alphabet(args.alphabet) if args.alphabet is not None else None
     return cfg, alphabet
 
@@ -119,13 +111,18 @@ def _read_input(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write ``text``, ending in a newline, to the file at ``path``, or to
+    stdout for None or ``-``; an unwritable path is malformed input."""
     if not text.endswith("\n"):
         text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
@@ -194,36 +191,23 @@ def cmd_prove(args: argparse.Namespace) -> int:
         raise RegexError("prove needs a bound: give EPS or pass --tight")
     if args.epsilon is not None and args.tight:
         raise RegexError("give either EPS or --tight, not both")
-    epsilon = Fraction(0) if args.tight else _parse_eps_arg(args.epsilon)
+    epsilon = None if args.tight else read_rational(args.epsilon)
     try:
         cert = synthesize(e, f, epsilon, cfg, alphabet, args.cap)
     except SynthesisFailure as exc:
-        if not args.tight:
-            print(f"refused: {exc}", file=sys.stderr)
-            print(f"distance: {exc.distance}", file=sys.stderr)
-            print(f"witness: {_render_witness(exc.witness)}", file=sys.stderr)
-            return EXIT_REFUSED
-        # the refusal carries the distance; the retry reuses the automaton
-        cert = synthesize(e, f, exc.distance, cfg, alphabet, args.cap)
+        print(f"refused: {exc}", file=sys.stderr)
+        print(f"distance: {exc.distance}", file=sys.stderr)
+        print(f"witness: {_render_witness(exc.witness)}", file=sys.stderr)
+        return EXIT_REFUSED
     err = diagnose_certificate(cert) if args.verify else None
     if err is not None:
         print(f"verification mismatch: synthesized certificate fails: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    text = to_json(cert)
+    _write_text(args.output, to_json(cert))
     if args.output is not None:
-        _write_text(args.output, text)
         j = cert.root.conclusion
         print(f"wrote certificate: {pretty(j.left)} = {pretty(j.right)} within {j.eps}")
-    else:
-        print(text)
     return EXIT_OK
-
-
-def _parse_eps_arg(text: str) -> Fraction:
-    eps = _rational(text)
-    if eps < 0:
-        raise RegexError(f"bound must be nonnegative, got {eps}")
-    return eps
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -286,15 +270,9 @@ def cmd_nf(args: argparse.Namespace) -> int:
     e = parse(args.expr, alphabet)
     if alphabet is None:
         alphabet = infer_alphabet(e)
-    decomposition = fundamental_decomposition(e, alphabet)
-    print(pretty(decomposition))
     proof = normal_form_proof(e, alphabet)
-    cert = Certificate(cfg, proof)
-    text = to_json(cert)
-    if args.output is not None:
-        _write_text(args.output, text)
-    else:
-        print(text)
+    print(pretty(proof.right))
+    _write_text(args.output, to_json(Certificate(cfg, proof)))
     return EXIT_OK
 
 

@@ -434,9 +434,12 @@ def _parse_expr(text: object, what: Callable[[], str], parsed: dict[str, Regex])
 def read_rational(text: str | int) -> Fraction:
     """``Fraction(text)``, refusing exponent notation: ``1e10000000`` would take
     seconds to expand, into more digits than ``str`` prints."""
-    if isinstance(text, str) and ("e" in text or "E" in text):
-        raise ValueError(f"exponent notation in {text!r}")
-    return Fraction(text)
+    if not (isinstance(text, str) and ("e" in text or "E" in text)):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"cannot read {text!r} as a rational")
 
 
 _fraction = lru_cache(maxsize=1024)(read_rational)  # a few bound strings recur in every document
@@ -447,7 +450,7 @@ def _parse_eps(text: object, what: Callable[[], str]) -> Fraction:
         raise CertificateError(f"{what()} must be a string, got {type(text).__name__}")
     try:
         value = _fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise CertificateError(f"bad {what()}: {text!r}") from exc
     if value < 0:
         raise CertificateError(f"negative {what()}: {text!r}")
@@ -1135,7 +1138,7 @@ class SynthesisFailure(Exception):
 
 
 class _ProofContext:
-    """Shared automaton, root separation, and memo tables for one expression pair."""
+    """The automaton, root separation and memo tables of one ``synthesize`` call."""
 
     def __init__(self, e: Regex, f: Regex, cfg: Config, alphabet: Alphabet, cap: int):
         self.left, self.right = e, f
@@ -1208,11 +1211,6 @@ class _ProofContext:
         return _chain(norm(self.left), core, symm(norm(self.right)))
 
 
-@lru_cache(maxsize=64)
-def _make_context(e: Regex, f: Regex, cfg: Config, alphabet: Alphabet, cap: int) -> _ProofContext:
-    return _ProofContext(e, f, cfg, alphabet, cap)
-
-
 def _descent_template(params: dict[str, str], conclusion: Judgement, hyps: frozenset[Judgement]) -> None:
     """Settle ``left = right within 0`` by the continuity rule.  Its premises,
     ``left = right within discount ** n`` for every n, all hold just when no
@@ -1235,31 +1233,33 @@ TEMPLATE_SCHEMAS: dict[str, Callable[[dict[str, str], Judgement, frozenset[Judge
 def synthesize(
     e: Regex,
     f: Regex,
-    epsilon: Fraction,
+    epsilon: Fraction | None = None,
     cfg: Config | None = None,
     alphabet: Alphabet | None = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> Certificate:
-    """Produce a checkable certificate of ``e = f`` within ``epsilon``.
+    """Produce a checkable certificate of ``e = f`` within ``epsilon``, or
+    within the exact distance when ``epsilon`` is None.
 
     Raises :class:`SynthesisFailure` when ``epsilon`` undercuts the actual
     distance; in all other cases the certificate's bound is ``epsilon``
     itself (a chain of bound-0 rules when ``state_normal`` equates the two,
     else a ``descent`` template, with no spot indices, for distance zero at
-    bound zero).
+    bound zero).  The automaton and memo tables live for this call only.
     """
     cfg = cfg or Config()
-    epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
-    if epsilon < 0:
-        raise ValueError(f"negative bound {epsilon}")
+    if epsilon is not None:
+        epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
+        if epsilon < 0:
+            raise ValueError(f"bound must be nonnegative, got {epsilon}")
     if state_normal(e) == state_normal(f):
-        return Certificate(cfg, weaken_to(aci_bridge(e, f, norm), epsilon))
+        return Certificate(cfg, weaken_to(aci_bridge(e, f, norm), epsilon or _ZERO))
     if alphabet is None:
         alphabet = infer_alphabet(e, f)
-    ctx = _make_context(e, f, cfg, alphabet, cap)
+    ctx = _ProofContext(e, f, cfg, alphabet, cap)
     sep = ctx.root_separation
     if sep.is_zero:
-        if epsilon == 0:
+        if not epsilon:
             params = {"left": pretty(e), "right": pretty(f)}
             return Certificate(cfg, cont_template("descent", params, Judgement(e, f, Fraction(0))))
         n = 0
@@ -1268,6 +1268,6 @@ def synthesize(
         return Certificate(cfg, weaken_to(ctx.root_proof(n), epsilon))
     assert sep.exponent is not None
     dist = sep.value(cfg.discount)
-    if epsilon < dist:
+    if epsilon is not None and epsilon < dist:
         raise SynthesisFailure(dist, sep, ctx.witness)
-    return Certificate(cfg, weaken_to(ctx.root_proof(sep.exponent), epsilon))
+    return Certificate(cfg, weaken_to(ctx.root_proof(sep.exponent), epsilon or dist))

@@ -375,7 +375,6 @@ def test_prove_tight_builds_the_automaton_once(capsys, monkeypatch):
 
     for module in (cli, proof, metric):
         monkeypatch.setattr(module, "build", counting_build)
-    proof._make_context.cache_clear()
     code, tight, _ = run(capsys, "prove", "(a+b)*;a;b", "(a+b)*;b;b", "--tight")
     assert code == 0
     assert len(calls) == 1
@@ -482,6 +481,15 @@ def test_prove_and_lambda_refuse_exponent_notation():
     assert proc.stderr.splitlines() == ["error: cannot read '1e-1' as a rational"]
 
 
+def test_unreadable_and_negative_bounds_are_malformed_input(capsys):
+    for argv, message in [
+        (("prove", "a", "b", "1/0"), "cannot read '1/0' as a rational"),
+        (("dist", "a", "b", "--lambda", "1/0"), "cannot read '1/0' as a rational"),
+        (("prove", "a", "b", "-0.5"), "bound must be nonnegative, got -1/2"),
+    ]:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("text, value", [("1/4", "1/4"), ("0.25", "1/4"), ("3", "3")])
 def test_rationals_are_read_as_fractions_and_decimals(capsys, tmp_path, text, value):
     doc = json.loads(json.dumps(TOP_DOCUMENT))
@@ -539,6 +547,26 @@ def test_an_unreadable_input_file_is_malformed_input(tmp_path, command):
         proc = run_process(command, str(path))
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith(f"error: cannot read {path}: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prove", "a*", "a+1", "--tight", "-o"),
+        ("batch", "ROWS", "-o"),
+        ("nf", "a*", "-o"),
+        ("dist", "a*", "a+1", "--dot"),
+    ],
+)
+def test_an_unwritable_output_path_is_malformed_input(tmp_path, argv):
+    rows = tmp_path / "rows.tsv"
+    rows.write_text("a*\ta+1\n")
+    argv = [str(rows) if arg == "ROWS" else arg for arg in argv]
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):  # no such directory; a directory
+        proc = run_process(*argv, str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {path}: ") and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
 
 
 def test_batch_table(capsys, monkeypatch):

@@ -77,11 +77,7 @@ def test_every_recorded_mutant_keeps_its_verdict(name):
 
 def prove_tight(left: str, right: str):
     """The certificate ``regdist prove --tight`` writes."""
-    e, f = parse(left), parse(right)
-    try:
-        return synthesize(e, f, 0)
-    except SynthesisFailure as exc:
-        return synthesize(e, f, exc.distance)
+    return synthesize(parse(left), parse(right))
 
 
 def test_expanded_lemma_certificates_are_the_rule_by_rule_documents():

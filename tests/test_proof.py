@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -100,7 +101,7 @@ def valid(d, hypotheses=()):
 def root_proof(e, f, n):
     """The prover's n-th approximant of ``e = f``: within ``discount ** n`` or
     better, exact once ``n`` reaches the separation exponent."""
-    return proof._make_context(e, f, CFG, infer_alphabet(e, f), automaton.DEFAULT_STATE_CAP).root_proof(n)
+    return proof._ProofContext(e, f, CFG, infer_alphabet(e, f), automaton.DEFAULT_STATE_CAP).root_proof(n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +343,6 @@ def test_descent_check_does_not_reach_the_prover(monkeypatch):
     def prover(*args, **kwargs):
         raise AssertionError("the checker called the prover")
 
-    monkeypatch.setattr(proof, "_make_context", prover)
     monkeypatch.setattr(proof, "_ProofContext", prover)
     assert diagnose_certificate(cert) is None
 
@@ -787,17 +787,9 @@ def test_aci_bridge():
         aci_bridge(A, B)
 
 
-def test_normalizing_with_units_random():
-    rng = random.Random(6)
-    for _ in range(80):
-        e = rand_expr(rng, rng.randint(1, 10))
-        d = normalization_proof(e)
-        assert d.conclusion == Judgement(e, state_normal(e), 0)
-        assert valid(d)
-
-
-def test_normalization_proof_random():
-    rng = random.Random(8)
+@pytest.mark.parametrize("seed", [6, 8])
+def test_normalization_proof_random(seed):
+    rng = random.Random(seed)
     for _ in range(80):
         e = rand_expr(rng, rng.randint(1, 10))
         d = normalization_proof(e)
@@ -869,9 +861,65 @@ def test_zero_bound_rules_are_semantically_sound():
         rules = [sl1(e), sl2(e, f), sl3(e, f, g), sl4(e), sum_cong(dl, dr)]
         rules += [one_s(e), s_assoc(e, f, g), s_one(e), zero_s(e), s_zero(e)]
         rules += [d1(e, f, g), d2(e, f, g), unroll(e), tight(e)]
-        rules += [seq_cong(dl, dr), star_cong(dl), norm(e), unfold(e, "ab")]
+        rules += [seq_cong(dl, dr), star_cong(dl), norm(e), unfold(e, "ab"), refl(e)]
         for d in rules:
             assert d.eps == 0 and _holds(d.left, d.right), d.rule
+
+
+def _true_distance(left, right):
+    """The distance by enumeration, up to as many letters as the reachable
+    product pairs (a shortest separating word visits each pair once)."""
+    aut = build([left, right], ("a", "b"))
+    s, t = aut.roots
+    return brute_distance(left, right, ("a", "b"), len(product_pairs(aut, s, t)), CFG.discount)
+
+
+def _accepted(rule, *args):
+    """The rule's conclusion, or None when the constructor refuses the args."""
+    try:
+        return rule(*args)
+    except ProofError:
+        return None
+
+
+def test_rules_with_bounds_are_semantically_sound():
+    # Premises are exact: synthesize(x, y) concludes x = y within their
+    # distance.  Every conclusion a constructor accepts must bound the
+    # distance of its sides; Max and NPref are also offered smaller bounds,
+    # which they must refuse or conclude soundly.
+    rng = random.Random(11)
+    seen = {"descent": 0, "star_unroll": 0}
+    for _ in range(120):
+        x, y, z, w = (rand_expr(rng, rng.randint(1, 5)) for _ in range(4))
+        dxy, dyz, dzw = (synthesize(u, v).root for u, v in ((x, y), (y, z), (z, w)))
+        assert all(d.eps == _true_distance(d.left, d.right) for d in (dxy, dyz, dzw))
+        rules = [symm(dxy), triang(dxy, dyz), top_rule(x, y), sl5(dxy, dzw), hyp_rule(dxy.conclusion)]
+        for eps in {dxy.eps / 4, dxy.eps / 2, 2 * dxy.eps, Fraction(1, 8), Fraction(1)}:
+            rules += [_accepted(weaken, dxy, eps), hyp_rule(Judgement(x, y, max(eps, dxy.eps)))]
+            rules += [_accepted(npref, dxy, a, CFG, eps) for a in "ab"]
+        rules += [npref(dxy, a, CFG) for a in "ab"]
+        common = max(dxy.eps, dzw.eps, Fraction(1, 8))
+        wl, wr = weaken_to(dxy, common), weaken_to(dzw, common)
+        rules += [sum_cong(wl, wr), seq_cong(wl, wr), star_cong(wl)]
+        # Salomaa's rule: a loop hypothesis g = e;g + f that holds, o(e) = 0
+        e = z if not output(z) else Seq(rng.choice((A, B)), z)
+        loops = [Judgement(g, Sum(Seq(e, g), w), 0) for g in (Seq(Star(e), w), Sum(Seq(e, Seq(Star(e), w)), w), x)]
+        for hyp in loops:
+            if _true_distance(hyp.left, hyp.right) == 0:
+                template = salomaa_rule(hyp, CFG)
+                assert proof.diagnose(template, CFG, [hyp]) is None
+                rules += [template] + [star_unroll_proof(hyp, n, CFG) for n in range(3)]
+                seen["star_unroll"] += 1
+        # the descent schema: kept where the checker settles it
+        for j in [Judgement(x, y, 0), *loops]:
+            descent = cont_template("descent", {"left": pretty(j.left), "right": pretty(j.right)}, j)
+            if proof.diagnose(descent, CFG) is None:
+                rules.append(descent)
+                seen["descent"] += 1
+        for d in rules:
+            if d is not None:
+                assert d.eps >= _true_distance(d.left, d.right), (d.rule, pretty(d.left), pretty(d.right), d.eps)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_normalization_proof_on_corpus_derivatives(corpus):
@@ -1200,8 +1248,26 @@ def test_synthesize_refuses_below_the_distance():
     assert exc.separation == ExponentValue(2)
     assert exc.witness == "aa"
     assert "1/4" in str(exc) and "aa" in str(exc)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
         synthesize(parse("a*"), parse("a+1"), Fraction(-1))
+
+
+def test_synthesize_without_a_bound_proves_the_distance():
+    pairs = [("a*", "a+1", Fraction(1, 4)), ("a*", "0", 1), ("(a+b)*", "(a*;b*)*", 0), ("a+b", "b+a", 0)]
+    for left, right, dist in pairs:
+        e, f = parse(left), parse(right)
+        cert = synthesize(e, f)
+        assert cert.root.conclusion == Judgement(e, f, dist)
+        assert diagnose_certificate(cert) is None
+
+
+def test_no_proof_state_outlives_a_call():
+    for n in range(2, 6):
+        cert = synthesize(parse(f"({'a' * n})*"), parse(f"({'a' * (n + 1)})*"), Fraction(1))
+        assert check_certificate(cert)
+    del cert
+    gc.collect()
+    assert not [x for x in gc.get_objects() if isinstance(x, proof._ProofContext)]
 
 
 def test_synthesize_zero_distance_at_zero_uses_a_template():
