@@ -12,7 +12,7 @@ States come from :func:`~regdist.derivatives.step_nf`, not from literal terms.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .derivatives import output, step_nf
@@ -44,18 +44,10 @@ class QuotientAutomaton:
     outputs: tuple[int, ...]
     transitions: tuple[tuple[int, ...], ...]
     roots: tuple[int, ...]
-    _index: dict[Regex, int] = field(repr=False)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def state_of(self, e: Regex) -> int:
-        """The state id of ``e``; raises KeyError if it is not in the closure."""
-        return self._index[state_normal(e)]
-
-    def delta(self, i: int, a: str) -> int:
-        return self.transitions[i][self.alphabet.index(a)]
 
 
 def build(
@@ -94,7 +86,6 @@ def build(
         outputs=tuple(output(s) for s in reps),
         transitions=tuple(transitions),
         roots=root_ids,
-        _index=index,
     )
 
 

@@ -204,7 +204,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
         print(f"verification mismatch: synthesized certificate fails: {err}", file=sys.stderr)
         return EXIT_MISMATCH
     _write_text(args.output, to_json(cert))
-    if args.output is not None:
+    if args.output not in (None, "-"):
         j = cert.root.conclusion
         print(f"wrote certificate: {pretty(j.left)} = {pretty(j.right)} within {j.eps}")
     return EXIT_OK

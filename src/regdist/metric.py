@@ -183,11 +183,6 @@ def separating_word(aut: QuotientAutomaton, s: int, t: int) -> str | None:
     return None
 
 
-def separation(e: Regex, f: Regex, alphabet: Alphabet | None = None, cap: int = DEFAULT_STATE_CAP) -> ExponentValue:
-    """Exponent form of the distance between two expressions."""
-    return ExponentValue.of_word(witness(e, f, alphabet, cap))
-
-
 def distance(
     e: Regex,
     f: Regex,
@@ -197,7 +192,7 @@ def distance(
 ) -> Fraction:
     """The distance between the languages of ``e`` and ``f``, exactly."""
     cfg = cfg or Config()
-    return separation(e, f, alphabet, cap).value(cfg.discount)
+    return ExponentValue.of_word(witness(e, f, alphabet, cap)).value(cfg.discount)
 
 
 def witness(

@@ -88,7 +88,7 @@ class Rule(Enum):
 
 
 class ProofError(ValueError):
-    """A derivation was composed in a way its rule does not allow."""
+    """A derivation breaks its rule, or a template schema refuses its parameters."""
 
 
 class CertificateError(ValueError):
@@ -106,10 +106,6 @@ class CheckError(Exception):
     def __str__(self) -> str:
         where = "/".join(str(i) for i in self.path) or "root"
         return f"{self.rule} node at {where}: {self.reason}"
-
-
-class _TemplateRefused(Exception):
-    """A template schema declined its parameters or conclusion."""
 
 
 @dataclass(frozen=True)
@@ -664,7 +660,7 @@ def _check_node(
                 return _fail(d.rule, path, f"spot index {deepest} is over the budget of {MAX_SPOT_INDEX}")
             try:
                 schema(dict(d.meta.params), j, hyps)
-            except (_TemplateRefused, ProofError, RegexError, StateLimitExceeded) as exc:
+            except (ProofError, RegexError, StateLimitExceeded) as exc:
                 return _fail(d.rule, path, f"schema {d.meta.schema!r} refused: {exc}")
             return None
         case Rule.NEXP if not d.premises and isinstance(j.left, (Zero, One, Letter)):
@@ -716,12 +712,8 @@ def diagnose(
     return err
 
 
-def check(root: Derivation, cfg: Config, hypotheses: Iterable[Judgement] = ()) -> bool:
-    return diagnose(root, cfg, hypotheses) is None
-
-
 def check_certificate(cert: Certificate) -> bool:
-    return check(cert.root, cert.config, cert.hypotheses)
+    return diagnose(cert.root, cert.config, cert.hypotheses) is None
 
 
 def diagnose_certificate(cert: Certificate, counts: dict[str, int] | None = None) -> CheckError | None:
@@ -1083,7 +1075,7 @@ def star_unroll_proof(hyp: Judgement, n: int, cfg: Config) -> Derivation:
     return proof
 
 
-def salomaa_rule(hyp: Judgement, cfg: Config) -> Derivation:
+def salomaa_rule(hyp: Judgement) -> Derivation:
     """The closed solution ``g = e*;f`` at bound 0, as a template node.
 
     The unrollings of :func:`star_unroll_proof` reach every bound
@@ -1102,7 +1094,7 @@ def _template_params(params: dict[str, str], *names: str) -> list[Regex]:
     try:
         return [parse(params[name]) for name in names]
     except KeyError as exc:
-        raise _TemplateRefused(f"missing parameter {exc}") from exc
+        raise ProofError(f"missing parameter {exc}") from exc
 
 
 def _star_unroll_template(params: dict[str, str], conclusion: Judgement, hyps: frozenset[Judgement]) -> None:
@@ -1112,9 +1104,9 @@ def _star_unroll_template(params: dict[str, str], conclusion: Judgement, hyps: f
     hyp = Judgement(g, Sum(Seq(e, g), f), Fraction(0))
     _split_loop_hypothesis(hyp)
     if conclusion != Judgement(g, Seq(Star(e), f), Fraction(0)):
-        raise _TemplateRefused("conclusion does not match the parameters")
+        raise ProofError("conclusion does not match the parameters")
     if hyp not in hyps:
-        raise _TemplateRefused(f"the loop hypothesis {pretty(g)} = {pretty(hyp.right)} is not among the hypotheses")
+        raise ProofError(f"the loop hypothesis {pretty(g)} = {pretty(hyp.right)} is not among the hypotheses")
 
 
 # ---------------------------------------------------------------------------
@@ -1126,7 +1118,6 @@ class SynthesisFailure(Exception):
     """The requested bound is below the actual distance."""
 
     distance: Fraction
-    separation: ExponentValue
     witness: str | None
 
     def __str__(self) -> str:
@@ -1217,9 +1208,9 @@ def _descent_template(params: dict[str, str], conclusion: Judgement, hyps: froze
     word separates the two sides, found with literal derivatives."""
     left, right = _template_params(params, "left", "right")
     if conclusion != Judgement(left, right, Fraction(0)):
-        raise _TemplateRefused("conclusion does not match the parameters")
+        raise ProofError("conclusion does not match the parameters")
     if literal_separation(left, right, cap=DEFAULT_STATE_CAP) is not None:
-        raise _TemplateRefused("the languages are apart; no descent to 0 exists")
+        raise ProofError("the languages are apart; no descent to 0 exists")
 
 
 # Each schema refuses its parameters, conclusion and hypotheses by raising, or
@@ -1269,5 +1260,5 @@ def synthesize(
     assert sep.exponent is not None
     dist = sep.value(cfg.discount)
     if epsilon is not None and epsilon < dist:
-        raise SynthesisFailure(dist, sep, ctx.witness)
+        raise SynthesisFailure(dist, ctx.witness)
     return Certificate(cfg, weaken_to(ctx.root_proof(sep.exponent), epsilon or dist))

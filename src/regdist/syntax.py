@@ -5,7 +5,7 @@ binary sum ``e + f``, binary sequencing ``e;f`` (juxtaposition also accepted
 on input), and iteration ``e*``.  :func:`state_normal` quotients by
 associativity, commutativity and idempotence of ``+`` at every level together
 with the unit laws of 0 and 1.
-Each node carries its sort key, output, size and hash from construction.
+Each node carries its sort key, output and hash from construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class RegexError(ValueError):
 class _Node:
     """An immutable node: ``__init__`` writes its slots through ``_setters``.  It
     computes once its sort key ``_key`` (a tuple of its children's keys), output
-    ``_out``, size ``_size`` and a hash ``_hash`` of its children's hashes.
+    ``_out`` and a hash ``_hash`` of its children's hashes.
     Equal: the same object, or equal hashes and keys."""
 
     __slots__ = ()
@@ -62,19 +62,19 @@ class _Node:
 class Zero(_Node):
     """The empty language."""
     __slots__ = ()
-    _key, _out, _size, _hash = (0,), 0, 1, hash((0,))
+    _key, _out, _hash = (0,), 0, hash((0,))
 
 
 class One(_Node):
     """The language containing only the empty word."""
     __slots__ = ()
-    _key, _out, _size, _hash = (1,), 1, 1, hash((1,))
+    _key, _out, _hash = (1,), 1, hash((1,))
 
 
 class Letter(_Node):
     __slots__ = ("char", "_key", "_hash")
     __match_args__ = ("char",)
-    _out, _size = 0, 1
+    _out = 0
 
     def __init__(self, char: str):
         put_char, put_key, put_hash = self._setters
@@ -84,54 +84,46 @@ class Letter(_Node):
 
 
 class Sum(_Node):
-    __slots__ = ("left", "right", "_key", "_out", "_size", "_hash")
+    __slots__ = ("left", "right", "_key", "_out", "_hash")
     __match_args__ = ("left", "right")
 
     def __init__(self, left: Regex, right: Regex):
-        put_left, put_right, put_key, put_out, put_size, put_hash = self._setters
+        put_left, put_right, put_key, put_out, put_hash = self._setters
         put_left(self, left)
         put_right(self, right)
         put_key(self, (5, left._key, right._key))
         put_out(self, left._out | right._out)
-        put_size(self, 1 + left._size + right._size)
         put_hash(self, hash((5, left._hash, right._hash)))
 
 
 class Seq(_Node):
-    __slots__ = ("left", "right", "_key", "_out", "_size", "_hash")
+    __slots__ = ("left", "right", "_key", "_out", "_hash")
     __match_args__ = ("left", "right")
 
     def __init__(self, left: Regex, right: Regex):
-        put_left, put_right, put_key, put_out, put_size, put_hash = self._setters
+        put_left, put_right, put_key, put_out, put_hash = self._setters
         put_left(self, left)
         put_right(self, right)
         put_key(self, (3, left._key, right._key))
         put_out(self, left._out & right._out)
-        put_size(self, 1 + left._size + right._size)
         put_hash(self, hash((3, left._hash, right._hash)))
 
 
 class Star(_Node):
-    __slots__ = ("body", "_key", "_size", "_hash")
+    __slots__ = ("body", "_key", "_hash")
     __match_args__ = ("body",)
     _out = 1
 
     def __init__(self, body: Regex):
-        put_body, put_key, put_size, put_hash = self._setters
+        put_body, put_key, put_hash = self._setters
         put_body(self, body)
         put_key(self, (4, body._key))
-        put_size(self, 1 + body._size)
         put_hash(self, hash((4, body._hash)))
 
 
 Regex = Zero | One | Letter | Sum | Seq | Star
 
 Alphabet = tuple[str, ...]
-
-
-def size(e: Regex) -> int:
-    """Number of nodes in the syntax tree."""
-    return e._size
 
 
 def letters(e: Regex) -> frozenset[str]:

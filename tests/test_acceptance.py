@@ -175,7 +175,7 @@ def _random_automaton(rng):
         tuple(rng.randrange(n) for _ in range(k)) for _ in range(n)
     )
     states = tuple(parse("0") for _ in range(n))
-    return QuotientAutomaton(alphabet, states, outputs, transitions, (0,), _index={})
+    return QuotientAutomaton(alphabet, states, outputs, transitions, (0,))
 
 
 def _random_table(rng, n):
@@ -252,7 +252,7 @@ def test_criterion_08_star_unrollings_and_the_closed_solution():
         d = star_unroll_proof(hyp, n, cfg)
         assert d.eps == HALF**n
         assert diagnose(d, cfg, (hyp,)) is None
-    node = salomaa_rule(hyp, cfg)
+    node = salomaa_rule(hyp)
     assert node.conclusion == Judgement(parse("a*"), parse("a*;1"), 0)
     assert diagnose(node, cfg, (hyp,)) is None
     assert distance(parse("a*"), parse("a*;1")) == 0

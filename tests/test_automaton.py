@@ -259,13 +259,12 @@ def test_build_is_stable_under_sum_reordering():
         assert again.transitions == base.transitions
 
 
-def test_state_of_and_delta():
+def test_states_and_transitions_by_index():
     aut = build([Star(A), Sum(A, One())], ("a",))
-    assert aut.state_of(Star(A)) == 0
-    assert aut.state_of(parse("1;(1;a*)")) == 0  # same class after unit collapse
-    assert aut.delta(1, "a") == 2
-    with pytest.raises(KeyError):
-        aut.state_of(B)
+    assert aut.states.index(state_normal(Star(A))) == 0
+    assert aut.states.index(state_normal(parse("1;(1;a*)"))) == 0  # same class after unit collapse
+    assert aut.transitions[1][0] == 2
+    assert state_normal(B) not in aut.states
 
 
 def test_state_cap_is_enforced():
@@ -289,7 +288,8 @@ def test_product_pairs_are_unordered():
 
 def _follow(aut, s, t, word):
     for letter in word:
-        s, t = aut.delta(s, letter), aut.delta(t, letter)
+        k = aut.alphabet.index(letter)
+        s, t = aut.transitions[s][k], aut.transitions[t][k]
     return (min(s, t), max(s, t))
 
 

@@ -569,6 +569,19 @@ def test_an_unwritable_output_path_is_malformed_input(tmp_path, argv):
         assert len(proc.stderr.splitlines()) == 1
 
 
+def test_prove_to_stdout_pipes_into_check():
+    """``prove -o -`` writes the document alone, so ``check -`` reads it from a pipe."""
+    src = os.path.dirname(os.path.dirname(regdist.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    cli = [sys.executable, "-m", "regdist.cli"]
+    prove = subprocess.Popen([*cli, "prove", "a*", "a+1", "--tight", "-o", "-"], stdout=subprocess.PIPE, env=env)
+    check = subprocess.run([*cli, "check", "-"], stdin=prove.stdout, capture_output=True, text=True, env=env, timeout=120)
+    prove.stdout.close()
+    assert prove.wait(timeout=120) == 0
+    assert check.returncode == 0, check.stderr
+    assert check.stdout == "valid: a* = a + 1 within 1/4\n"
+
+
 def test_batch_table(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("a*\ta+1\na*\t0\na\ta\n\na*\ta*;1\n"))
     code, out, _ = run(capsys, "batch", "-")

@@ -15,7 +15,6 @@ from regdist.metric import (
     kleene_descent,
     literal_separation,
     pair_count,
-    separation,
     witness,
 )
 from regdist.oracle import brute_distance, brute_witness
@@ -26,6 +25,11 @@ from descent_reference import DIST_TOP, kleene_descent as reference_descent
 from rational_tables import phi_rational, sup_distance, table_values
 
 HALF = Fraction(1, 2)
+
+
+def separation(e, f, alphabet=None):
+    """Exponent form of the distance: the length of a shortest separating word."""
+    return ExponentValue.of_word(witness(e, f, alphabet))
 
 
 def test_config_validation():

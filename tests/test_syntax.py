@@ -22,7 +22,6 @@ from regdist.syntax import (
     make_alphabet,
     parse,
     pretty,
-    size,
     sort_key,
     state_normal,
 )
@@ -139,9 +138,7 @@ def test_sort_key_constructor_order():
     assert keys == sorted(keys)
 
 
-def test_size_and_letters():
-    assert size(Zero()) == 1
-    assert size(Star(Seq(A, B))) == 4
+def test_letters():
     assert letters(Seq(A, Star(Sum(B, C)))) == frozenset("abc")
     assert letters(One()) == frozenset()
 
@@ -273,21 +270,10 @@ def _output(e):
             return _output(l) & _output(r)
 
 
-def _size(e):
-    match e:
-        case Sum(l, r) | Seq(l, r):
-            return 1 + _size(l) + _size(r)
-        case Star(b):
-            return 1 + _size(b)
-        case _:
-            return 1
-
-
 @given(exprs)
 def test_cached_fields_match_the_recursive_definitions(e):
     assert sort_key(e) == _key(e)
     assert output(e) == _output(e)
-    assert size(e) == _size(e)
 
 
 @given(exprs, exprs)
