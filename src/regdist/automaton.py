@@ -6,14 +6,17 @@ of + together with the unit laws ``0;x = x;0 = 0``, ``1;x = x;1 = x`` and
 threads output bits into sequences, and without collapsing them the set of
 derivatives modulo ACI alone grows forever (already for ``a*``).  Both laws
 preserve the language, so the quotient is a plain deterministic automaton.
-States come from :func:`~regdist.derivatives.step_nf`, not from literal terms.
+
+Every walk over derivatives interns its states in a :class:`Closure`, which
+derives a state's row when a walk first asks for it: :func:`build` asks for
+all, :func:`~regdist.metric.witness` for those its walk reaches.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 from .derivatives import output, step_nf
 from .syntax import Alphabet, Regex, infer_alphabet, pretty, state_normal
@@ -29,73 +32,76 @@ class StateLimitExceeded(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientAutomaton:
-    """Deterministic automaton over derivative classes.
+class Closure:
+    """The states met from ``roots`` under ``derive``, which maps a state and
+    a letter to a state-normal form (default: ``step_nf`` with this closure's
+    memo).  ``states[i]`` is state i's representative, ``outputs[i]`` its
+    acceptance bit and ``transitions[i]`` its successors in alphabet order,
+    None until :meth:`row` derives them; ``roots`` are the ids of the given
+    expressions, in input order.  Meeting more than ``cap`` states raises
+    :class:`StateLimitExceeded`."""
 
-    ``states[i]`` is the canonical representative of state ``i``;
-    ``transitions[i][k]`` is the successor of state ``i`` under letter
-    ``alphabet[k]``; ``outputs[i]`` is its acceptance bit; ``roots`` are the
-    state ids of the expressions the closure was built from, in input order.
-    """
-
-    alphabet: Alphabet
-    states: tuple[Regex, ...]
-    outputs: tuple[int, ...]
-    transitions: tuple[tuple[int, ...], ...]
-    roots: tuple[int, ...]
+    def __init__(
+        self,
+        roots: Sequence[Regex],
+        alphabet: Alphabet | None,
+        cap: int,
+        derive: Callable[[Regex, str], Regex] | None = None,
+    ):
+        self.alphabet = infer_alphabet(*roots) if alphabet is None else alphabet
+        self.derive = derive or partial(step_nf, memo={})
+        self.cap = cap
+        self.states: list[Regex] = []
+        self.outputs: list[int] = []
+        self.transitions: list[tuple[int, ...] | None] = []
+        self._index: dict[Regex, int] = {}
+        self.roots = tuple(self._intern(state_normal(e)) for e in roots)
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
+    def _intern(self, state: Regex) -> int:
+        """The id of a state-normal form, a new one the first time it is met."""
+        got = self._index.setdefault(state, len(self.states))
+        if got == len(self.states):
+            if got >= self.cap:
+                raise StateLimitExceeded(self.cap)
+            self.states.append(state)
+            self.outputs.append(output(state))
+            self.transitions.append(None)
+        return got
 
-def build(
-    roots: list[Regex] | tuple[Regex, ...],
-    alphabet: Alphabet | None = None,
-    cap: int = DEFAULT_STATE_CAP,
-) -> QuotientAutomaton:
+    def row(self, i: int) -> tuple[int, ...]:
+        """The successors of state ``i`` in alphabet order, derived once."""
+        got = self.transitions[i]
+        if got is None:
+            state, intern, derive = self.states[i], self._intern, self.derive
+            got = self.transitions[i] = tuple(intern(derive(state, a)) for a in self.alphabet)
+        return got
+
+
+def build(roots: Sequence[Regex], alphabet: Alphabet | None = None, cap: int = DEFAULT_STATE_CAP) -> Closure:
     """Close the given expressions under letter derivatives.
 
     Breadth-first in discovery order, so state ids are stable for a given
-    input; rows come from :func:`~regdist.derivatives.step_nf` with a memo
-    for this call.  Raises :class:`StateLimitExceeded` once more than ``cap``
-    states appear.
+    input; every row is derived.  Raises :class:`StateLimitExceeded` once
+    more than ``cap`` states appear.
     """
-    if alphabet is None:
-        alphabet = infer_alphabet(*roots)
-    index: dict[Regex, int] = {}
-    reps: list[Regex] = []
-    memo: dict[tuple[Regex, str], Regex] = {}
-
-    def intern(rep: Regex) -> int:
-        got = index.setdefault(rep, len(reps))
-        if got == len(reps):
-            if got >= cap:
-                raise StateLimitExceeded(cap)
-            reps.append(rep)
-        return got
-
-    root_ids = tuple(intern(state_normal(e)) for e in roots)
-    transitions: list[tuple[int, ...]] = []
-    for src in reps:  # reps grows as the walk finds states
-        transitions.append(tuple(intern(step_nf(src, a, memo)) for a in alphabet))
-    return QuotientAutomaton(
-        alphabet=alphabet,
-        states=tuple(reps),
-        outputs=tuple(output(s) for s in reps),
-        transitions=tuple(transitions),
-        roots=root_ids,
-    )
+    aut = Closure(roots, alphabet, cap)
+    for i, _ in enumerate(aut.states):  # states grows as the rows find them
+        aut.row(i)
+    return aut
 
 
-def product_walk(aut: QuotientAutomaton, s: int, t: int) -> Iterator[tuple[tuple[int, int], str]]:
+def product_walk(aut: Closure, s: int, t: int) -> Iterator[tuple[tuple[int, int], str]]:
     """Breadth-first walk over the unordered state pairs reachable from {s, t}.
 
     Yields each pair once, in discovery order, together with the least word
     (shortest, then least in alphabet order) whose synchronized steps lead
     from {s, t} to it; the starting pair comes first with the empty word.
-    Diagonal pairs are included.  Callers may stop the walk early.
+    Diagonal pairs are included.  Callers may stop the walk early; a pair's
+    rows are derived only when the walk resumes after yielding it.
     """
     start = (min(s, t), max(s, t))
     seen = {start}
@@ -103,25 +109,21 @@ def product_walk(aut: QuotientAutomaton, s: int, t: int) -> Iterator[tuple[tuple
     while queue:
         (u, v), word = queue.popleft()
         yield (u, v), word
-        for k, letter in enumerate(aut.alphabet):
-            du = aut.transitions[u][k]
-            dv = aut.transitions[v][k]
+        for letter, du, dv in zip(aut.alphabet, aut.row(u), aut.row(v)):
             pair = (min(du, dv), max(du, dv))
             if pair not in seen:
                 seen.add(pair)
                 queue.append((pair, word + letter))
 
 
-def product_pairs(aut: QuotientAutomaton, s: int, t: int) -> tuple[tuple[int, int], ...]:
-    """Unordered state pairs reachable from {s, t} under synchronized steps.
-
-    The starting pair is included; pairs are returned in discovery order.
-    """
+def product_pairs(aut: Closure, s: int, t: int) -> tuple[tuple[int, int], ...]:
+    """The unordered state pairs reachable from {s, t}, the starting pair
+    included, in discovery order."""
     return tuple(pair for pair, _ in product_walk(aut, s, t))
 
 
-def to_dot(aut: QuotientAutomaton) -> str:
-    """Graphviz rendering: accepting states doubly circled, edges by letter."""
+def to_dot(aut: Closure) -> str:
+    """Graphviz rendering of a built closure: accepting states doubly circled."""
 
     def esc(text: str) -> str:
         return text.replace("\\", "\\\\").replace('"', '\\"')

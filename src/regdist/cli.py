@@ -126,6 +126,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
+    if args.json and args.dot == "-":
+        raise ValueError("--json and --dot - both write to stdout; give --dot a file")
     cfg, alphabet = _setup(args)
     e, f = _parse_pair(args, alphabet)
     if alphabet is None:

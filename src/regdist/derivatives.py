@@ -56,26 +56,43 @@ def step(e: Regex, a: str) -> Regex:
 
 def step_nf(e: Regex, a: str, memo: dict[tuple[Regex, str], Regex]) -> Regex:
     """``state_normal(step(e, a))`` for a state-normal ``e``, built with
-    :func:`sum_nf` and :func:`seq_nf` from results that ``memo`` keeps."""
-    got = memo.get((e, a))
-    if got is None:
-        match e:
-            case Sum(l, r):
-                got = sum_nf(step_nf(l, a, memo), step_nf(r, a, memo))
-            case Seq(l, r):
-                got = seq_nf(step_nf(l, a, memo), r)
-                if output(l):
-                    got = sum_nf(got, step_nf(r, a, memo))
-            case Star(b):
-                got = seq_nf(step_nf(b, a, memo), e)
-            case Letter(c):
-                got = One() if c == a else Zero()
-            case Zero() | One():
-                got = Zero()
-            case _:
-                raise TypeError(f"not a regex: {e!r}")
-        memo[e, a] = got
-    return got
+    :func:`sum_nf` and :func:`seq_nf` from results that ``memo`` keeps.
+
+    Without recursion: a work list settles each subterm once the results it
+    needs are in ``memo``, and pushes the first one missing."""
+    get = memo.get
+    todo = [] if (e, a) in memo else [e]
+    while todo:
+        x = todo[-1]
+        t = type(x)
+        if t is Sum or t is Seq:
+            l = get((x.left, a))
+            if l is None:
+                todo.append(x.left)
+                continue
+            if t is Sum or output(x.left):
+                r = get((x.right, a))
+                if r is None:
+                    todo.append(x.right)
+                    continue
+                got = sum_nf(l, r) if t is Sum else sum_nf(seq_nf(l, x.right), r)
+            else:
+                got = seq_nf(l, x.right)
+        elif t is Star:
+            b = get((x.body, a))
+            if b is None:
+                todo.append(x.body)
+                continue
+            got = seq_nf(b, x)
+        elif t is Letter:
+            got = One() if x.char == a else Zero()
+        elif t is Zero or t is One:
+            got = Zero()
+        else:
+            raise TypeError(f"not a regex: {x!r}")
+        memo[x, a] = got
+        todo.pop()
+    return memo[e, a]
 
 
 def member(e: Regex, w: str) -> bool:

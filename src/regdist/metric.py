@@ -1,4 +1,4 @@
-"""Shortest-distinguishing-word distances over quotient automata.
+"""Shortest-distinguishing-word distances over derivative closures.
 
 Distances take the form ``discount ** n`` where ``n`` is the length of a
 shortest word telling two languages apart (0 when no such word exists).
@@ -14,9 +14,9 @@ numbers per pair found in one pass over the pair graph, and makes each step
 table only when it is asked for.  It works on exponents too; rational values
 come out of a table through :meth:`ExponentValue.value`.
 
-:func:`literal_separation` finds the separation a second way, with literal
-derivatives and no automaton, so that answers and certificates can be checked
-without trusting :func:`~regdist.automaton.build`.
+:func:`literal_separation` finds the separation a second way, over a closure
+whose rows come from literal derivatives, not ``step_nf``, so that answers and
+certificates can be checked without trusting :func:`~regdist.automaton.build`.
 """
 
 from __future__ import annotations
@@ -26,15 +26,9 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterator
 
-from .automaton import (
-    DEFAULT_STATE_CAP,
-    QuotientAutomaton,
-    StateLimitExceeded,
-    build,
-    product_walk,
-)
-from .derivatives import member, output, step
-from .syntax import Alphabet, Regex, infer_alphabet, sort_key, state_normal
+from .automaton import DEFAULT_STATE_CAP, Closure, product_walk
+from .derivatives import member, step
+from .syntax import Alphabet, Regex, state_normal
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ class DescentResult:
             yield {p: at_k if k <= pace else ev for (p, ev), pace in zip(self.table.items(), self.pace)}
 
 
-def kleene_descent(aut: QuotientAutomaton) -> DescentResult:
+def kleene_descent(aut: Closure) -> DescentResult:
     """The iteration of the one-step operator from the top table, in one pass.
 
     One step maps a pair with disagreeing outputs to exponent 0, and any
@@ -171,7 +165,7 @@ def kleene_descent(aut: QuotientAutomaton) -> DescentResult:
     return DescentResult(table=table, iterations=min(cap, last + 1), pace=tuple(pace))
 
 
-def separating_word(aut: QuotientAutomaton, s: int, t: int) -> str | None:
+def separating_word(aut: Closure, s: int, t: int) -> str | None:
     """A shortest word on which states ``s`` and ``t`` disagree, or None.
 
     Among shortest candidates the least in alphabet order is returned; the
@@ -204,21 +198,20 @@ def witness(
     """A shortest word in exactly one of the two languages, or None.
 
     Among shortest candidates the lexicographically least (in alphabet
-    order) is returned; the empty word is reported as ``""``.
+    order) is returned; the empty word is reported as ``""``.  Only the
+    states the walk meets count against ``cap``: all reachable ones when equal.
     """
-    aut = build([e, f], alphabet, cap)
+    aut = Closure([e, f], alphabet, cap)
     return separating_word(aut, *aut.roots)
 
 
 # ---------------------------------------------------------------------------
 # Literal separation: the product walk again, with literal derivatives and no
-# automaton, for ``dist --verify``, witness checks and the ``descent`` template
+# step_nf, for ``dist --verify``, witness checks and the ``descent`` template
 
 
-def _unordered(u: Regex, v: Regex) -> tuple[Regex, Regex]:
-    un = state_normal(u)
-    vn = state_normal(v)
-    return (un, vn) if sort_key(un) <= sort_key(vn) else (vn, un)
+def _literal_step(state: Regex, letter: str) -> Regex:
+    return state_normal(step(state, letter))
 
 
 def literal_separation(
@@ -230,28 +223,23 @@ def literal_separation(
     """The length of a shortest word in exactly one of the languages of e and
     f, or None when no word separates them.
 
-    Breadth-first over pairs of :func:`~regdist.syntax.state_normal` forms of
-    literal :func:`~regdist.derivatives.step` pairs, from (e, f); a pair of
-    identical forms never separates and is not stepped.  Each distinct pair is
-    stepped once, and the walk stops at the first level with a pair whose
-    outputs differ.  Raises :class:`StateLimitExceeded` once more than ``cap``
-    distinct normal forms have been met.
+    Breadth-first, level by level, over pairs of a closure of (e, f) whose
+    rows are ``state_normal(step(u, a))``, with the literal step, so each
+    distinct form is stepped once per letter; a pair of identical forms
+    never separates and is not stepped.  Stops at the first level with a
+    pair whose outputs differ; more than ``cap`` forms raise
+    :class:`~regdist.automaton.StateLimitExceeded`.
     """
-    if alphabet is None:
-        alphabet = infer_alphabet(e, f)
-    met: set[Regex] = set()
-    level = {_unordered(e, f)}
+    aut = Closure([e, f], alphabet, cap, _literal_step)
+    s, t = aut.roots
+    level = {(min(s, t), max(s, t))}
     seen = set(level)
     depth = 0
     while level:
-        for u, v in level:
-            met.add(u)
-            met.add(v)
-        if len(met) > cap:
-            raise StateLimitExceeded(cap)
-        if any(output(u) != output(v) for u, v in level):
+        if any(aut.outputs[u] != aut.outputs[v] for u, v in level):
             return depth
-        level = {_unordered(step(u, a), step(v, a)) for u, v in level if u != v for a in alphabet} - seen
+        rows = (zip(aut.row(u), aut.row(v)) for u, v in level if u != v)
+        level = {(min(x, y), max(x, y)) for row in rows for x, y in row} - seen
         seen |= level
         depth += 1
     return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from regdist.automaton import QuotientAutomaton
+from regdist.automaton import Closure
 from regdist.metric import DIST_ZERO, ExponentValue, Table, pair_count
 
 DIST_TOP = ExponentValue(0)  # the value 1 of a pair in the top table
@@ -34,12 +34,12 @@ def _all_pairs(n: int) -> Iterator[tuple[int, int]]:
             yield (i, j)
 
 
-def top_table(aut: QuotientAutomaton) -> Table:
+def top_table(aut: Closure) -> Table:
     """The everywhere-1 table, the greatest pseudometric under consideration."""
     return {p: DIST_TOP for p in _all_pairs(aut.n_states)}
 
 
-def phi(aut: QuotientAutomaton, table: Table) -> Table:
+def phi(aut: Closure, table: Table) -> Table:
     """One step of the behavioural-distance operator, on exponents.
 
     A pair with disagreeing outputs maps to 1; otherwise to the discount
@@ -64,7 +64,7 @@ def phi(aut: QuotientAutomaton, table: Table) -> Table:
     return out
 
 
-def kleene_descent(aut: QuotientAutomaton) -> ReferenceDescent:
+def kleene_descent(aut: Closure) -> ReferenceDescent:
     """Iterate ``phi`` from the top table until stationary.
 
     A shortest separating word never revisits an unordered state pair, so

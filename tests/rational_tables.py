@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from regdist.automaton import QuotientAutomaton
+from regdist.automaton import Closure
 from regdist.metric import Config, Table
 
 RationalTable = dict[tuple[int, int], Fraction]
@@ -23,7 +23,7 @@ def table_values(table: Table, cfg: Config) -> RationalTable:
     return {p: ev.value(cfg.discount) for p, ev in table.items()}
 
 
-def phi_rational(aut: QuotientAutomaton, table: RationalTable, cfg: Config) -> RationalTable:
+def phi_rational(aut: Closure, table: RationalTable, cfg: Config) -> RationalTable:
     """The one-step operator on arbitrary rational tables."""
     out: RationalTable = {}
     for (i, j), _ in table.items():

@@ -8,8 +8,9 @@ import json
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
-from regdist.automaton import QuotientAutomaton, StateLimitExceeded, build
+from regdist.automaton import StateLimitExceeded, build
 from regdist.cli import main
 from regdist.metric import (
     Config,
@@ -174,8 +175,8 @@ def _random_automaton(rng):
     transitions = tuple(
         tuple(rng.randrange(n) for _ in range(k)) for _ in range(n)
     )
-    states = tuple(parse("0") for _ in range(n))
-    return QuotientAutomaton(alphabet, states, outputs, transitions, (0,))
+    # a stand-in with the fields that kleene_descent and the references read
+    return SimpleNamespace(alphabet=alphabet, n_states=n, outputs=outputs, transitions=transitions)
 
 
 def _random_table(rng, n):

@@ -179,7 +179,7 @@ def test_normal_forms_match_the_fixed_point_reference():
                 x = step(x, letter)
             assert state_normal(x) == _reference_state_normal(x)
         aut = build([e], ("a", "b"))
-        assert (aut.states, aut.transitions) == _reference_build(e, ("a", "b"))
+        assert (tuple(aut.states), tuple(aut.transitions)) == _reference_build(e, ("a", "b"))
 
 
 def _literal_closure(roots, alphabet):
@@ -204,7 +204,7 @@ def test_build_matches_the_literal_closure_on_the_corpus(corpus):
     for pair in corpus:
         aut = build([pair.left, pair.right], pair.alphabet)
         want = _literal_closure([pair.left, pair.right], pair.alphabet)
-        assert (aut.states, aut.outputs, aut.transitions, aut.roots) == want
+        assert (tuple(aut.states), tuple(aut.outputs), tuple(aut.transitions), aut.roots) == want
         assert [pretty(s) for s in aut.states] == [pretty(s) for s in want[0]]
 
 
@@ -222,17 +222,17 @@ def test_state_normal_ignores_sum_order():
 def test_closure_of_a_star_is_a_single_state():
     aut = build([Star(A)], ("a",))
     assert aut.n_states == 1
-    assert aut.states == (Star(A),)
-    assert aut.outputs == (1,)
-    assert aut.transitions == ((0,),)
+    assert aut.states == [Star(A)]
+    assert aut.outputs == [1]
+    assert aut.transitions == [(0,)]
     assert aut.roots == (0,)
 
 
 def test_closure_of_the_running_pair():
     aut = build([Star(A), Sum(A, One())], ("a",))
     assert [pretty(s) for s in aut.states] == ["a*", "1 + a", "1", "0"]
-    assert aut.outputs == (1, 1, 1, 0)
-    assert aut.transitions == ((0,), (2,), (3,), (3,))
+    assert aut.outputs == [1, 1, 1, 0]
+    assert aut.transitions == [(0,), (2,), (3,), (3,)]
     assert aut.roots == (0, 1)
 
 

@@ -12,7 +12,7 @@ from regdist import automaton, cli, metric, proof
 from regdist.cli import main
 from regdist.proof import diagnose_certificate, from_json
 from regdist.derivatives import output
-from regdist.syntax import One, Sum, parse
+from regdist.syntax import One, Sum, parse, state_normal
 
 from descent_reference import kleene_descent as reference_descent
 
@@ -174,15 +174,24 @@ def test_dist_verify_checks_a_bisimulation_when_equal(capsys):
     assert "witness: -" in out
 
 
-def _drop_a_pair(pair, root):
-    # the pair whose outputs differ becomes the root pair, which the walk has seen
-    u, v = pair
-    return root if output(u) != output(v) else pair
+def _drop_a_pair(derive, roots):
+    # a step that would change a form's output keeps the form, so the pair
+    # whose outputs differ is never formed
+    def patched(state, letter):
+        got = derive(state, letter)
+        return state if output(got) != output(state) else got
+
+    return patched
 
 
-def _flip_an_output(pair, root):
-    u, v = pair
-    return (Sum(u, One()), v) if u != v and not output(u) and not output(v) else pair
+def _flip_an_output(derive, roots):
+    # the right root's successors gain the empty word, so the first level
+    # holds a pair whose outputs differ
+    def patched(state, letter):
+        got = derive(state, letter)
+        return state_normal(Sum(got, One())) if state == roots[1] else got
+
+    return patched
 
 
 @pytest.mark.parametrize(
@@ -196,10 +205,10 @@ def _flip_an_output(pair, root):
 )
 def test_dist_verify_mismatches_on_a_patched_relation(capsys, monkeypatch, patch, argv, found):
     # The literal walk's relation is the set of pairs it steps; patch the
-    # function that forms each pair, so the walk steps a wrong relation.
-    unordered = metric._unordered
-    root = unordered(*map(parse, argv))
-    monkeypatch.setattr(metric, "_unordered", lambda u, v: patch(unordered(u, v), root))
+    # derivative its closure steps forms with, so the walk steps a wrong
+    # relation while the automaton does not.
+    roots = [state_normal(parse(x)) for x in argv]
+    monkeypatch.setattr(metric, "_literal_step", patch(metric._literal_step, roots))
     code, _, err = run(capsys, "dist", *argv, "--verify")
     assert code == 3
     assert err.strip() == "verification mismatch: the product walk gives " + found
@@ -211,6 +220,15 @@ def test_dist_dot_output(capsys, tmp_path):
     assert code == 0
     text = target.read_text()
     assert text.startswith("digraph") and "doublecircle" in text
+
+
+def test_dist_json_with_dot_to_stdout_is_refused():
+    # both would go to stdout, and the Graphviz text would come first
+    proc = run_process("dist", "a*", "a+1", "--json", "--dot", "-")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    proc = run_process("dist", "a*", "a+1", "--dot", "-")
+    assert proc.returncode == 0 and proc.stdout.startswith("digraph")
 
 
 @pytest.mark.parametrize(
@@ -235,8 +253,13 @@ def test_dist_on_a_very_long_word_exits_2_without_a_traceback():
     proc = run_process("dist", "a" * 500, "b")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:2] == ["distance: 1/2 (0.500000)", "witness: b"]
-    # deeper terms still recurse once per level (step_nf, key comparison)
+    # step_nf is a work list, so a word of 1,200 letters answers too
     proc = run_process("dist", "a" * 1200, "b")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["distance: 1/2 (0.500000)", "witness: b"]
+    # sorting the summands of a sum of long words still compares their keys
+    # by recursion
+    proc = run_process("dist", "a" * 1200 + "+" + "a" * 1199 + "b", "b")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
@@ -373,7 +396,7 @@ def test_prove_tight_builds_the_automaton_once(capsys, monkeypatch):
         calls.append(args)
         return automaton.build(*args, **kwargs)
 
-    for module in (cli, proof, metric):
+    for module in (cli, proof):
         monkeypatch.setattr(module, "build", counting_build)
     code, tight, _ = run(capsys, "prove", "(a+b)*;a;b", "(a+b)*;b;b", "--tight")
     assert code == 0
@@ -595,7 +618,7 @@ def test_batch_table(capsys, monkeypatch):
 
 
 def test_batch_keeps_going_past_bad_rows(capsys, monkeypatch):
-    deep = "a" * 2000
+    deep = "a" * 1200 + "+" + "a" * 1199 + "b"
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(f"a*\ta+1\na(\tb\nno tabs here\n{deep}\tb\na\tb\n")
     )
@@ -641,3 +664,15 @@ def test_nf_certificate_checks(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(target.read_text()))
     code, out, _ = run(capsys, "check", "-")
     assert code == 0
+
+
+#: What ``tests/compat/hash_outputs.py`` prints for the output of every
+#: command over the bench pairs; a change to it is named in CHANGES.md.
+OUTPUT_DIGEST = "71cf152a1564108fe6ebfe9b078f5403a264ca5fa65d5ebe0cf146e00318e210"
+
+
+def test_command_output_over_the_bench_pairs_is_pinned():
+    script = os.path.join(os.path.dirname(__file__), "compat", "hash_outputs.py")
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == OUTPUT_DIGEST

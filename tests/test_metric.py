@@ -18,7 +18,7 @@ from regdist.metric import (
     witness,
 )
 from regdist.oracle import brute_distance, brute_witness
-from regdist.syntax import Letter, One, parse
+from regdist.syntax import Letter, One, parse, state_normal
 
 from conftest import rand_expr
 from descent_reference import DIST_TOP, kleene_descent as reference_descent
@@ -198,6 +198,17 @@ def test_witness_agrees_with_enumeration(corpus):
         assert w == brute_witness(pair.left, pair.right, pair.alphabet, pair.bound)
 
 
+def test_witness_stops_deriving_at_the_witness():
+    # the closure of this pair passes the default cap of 100,000 states;
+    # the walk meets the separating pair after deriving four rows
+    e = parse("(a+b)*;a;" + ";".join(["(a+b)"] * 16))
+    assert witness(e, parse("b")) == "b"
+
+
+def test_witness_of_a_long_word_does_not_recurse():
+    assert witness(parse("a" * 5000), parse("b")) == "b"
+
+
 def test_check_witness_accepts_exactly_the_shortest_separating_words(corpus):
     checked = 0
     for pair in corpus[:150]:
@@ -262,6 +273,34 @@ def test_literal_separation_of_a_trivial_pair_is_none_and_steps_nothing(monkeypa
     # a* and a*;1 have one normal form, so the walk has no pair to step
     monkeypatch.setattr(metric, "step", None)
     assert literal_separation(parse("a*"), parse("a*;1"), ("a",)) is None
+
+
+def _fam(p):
+    """``(a^p)*;(1+a)^(p-1)``, which denotes ``a*`` for every p."""
+    return parse(f"({'a' * p})*;" + ";".join(["(1+a)"] * (p - 1)))
+
+
+def test_literal_separation_steps_each_form_once_per_letter(monkeypatch):
+    calls = []
+    real = metric.step
+    monkeypatch.setattr(metric, "step", lambda g, a: calls.append(g) or real(g, a))
+    e, f = _fam(20), _fam(21)
+    assert literal_separation(e, f) is None
+    aut = build([e, f])
+    assert len(calls) <= aut.n_states * len(aut.alphabet)
+
+
+def test_literal_separation_steps_no_form_met_only_in_identical_pairs(monkeypatch):
+    # after c, and after d, both sides have one form, so the walk stops
+    # there; behind X + b lie the 2**12-odd derivatives of X
+    x = "(a+b)*;a;" + ";".join(["(a+b)"] * 11)
+    e = parse(f"c;({x}) + d*;c;b")
+    f = parse(f"c;({x}) + c;b + d;d*;c;b")
+    stepped = set()
+    real = metric.step
+    monkeypatch.setattr(metric, "step", lambda g, a: stepped.add(g) or real(g, a))
+    assert literal_separation(e, f) is None
+    assert stepped == {state_normal(e), state_normal(f)}
 
 
 def test_literal_separation_of_a_and_one_is_zero():

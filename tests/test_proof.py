@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from regdist import automaton, metric, proof
+from regdist import automaton, derivatives, proof
 from regdist.automaton import build, product_pairs
 from regdist.derivatives import fundamental_decomposition, output, step
 from regdist.metric import Config, distance
@@ -347,16 +347,17 @@ def test_descent_check_does_not_reach_the_prover(monkeypatch):
 
 
 def test_checker_builds_no_automaton(monkeypatch):
-    def no_build(*args, **kwargs):
-        raise AssertionError("the checker built an automaton")
+    # the checker's closures step with literal derivatives, never step_nf
+    def no_step_nf(*args, **kwargs):
+        raise AssertionError("the checker called step_nf")
 
     hyp = Judgement(parse("a*"), parse("a;a* + 1"), 0)
     certs = [
         from_json(to_json(Certificate(CFG, _descent_node("(a+b)*", "(a*;b*)*")))),
         from_json(to_json(Certificate(CFG, salomaa_rule(hyp), (hyp,)))),
     ]
-    for module in (automaton, metric, proof):
-        monkeypatch.setattr(module, "build", no_build)
+    for module in (automaton, derivatives):
+        monkeypatch.setattr(module, "step_nf", no_step_nf)
     for cert in certs:
         assert diagnose_certificate(cert) is None
 
