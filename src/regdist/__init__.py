@@ -1,6 +1,6 @@
 """Exact behavioural distances between regular expressions, with certificates."""
 
-from .automaton import Closure, StateLimitExceeded, build, product_pairs, to_dot
+from .automaton import StateLimitExceeded, build, product_pairs, to_dot
 from .metric import Config, DescentResult, ExponentValue, distance, kleene_descent, literal_separation, witness
 from .syntax import (
     Letter,
@@ -19,7 +19,6 @@ from .syntax import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Closure",
     "Config",
     "DescentResult",
     "ExponentValue",

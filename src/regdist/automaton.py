@@ -35,11 +35,11 @@ class StateLimitExceeded(RuntimeError):
 class Closure:
     """The states met from ``roots`` under ``derive``, which maps a state and
     a letter to a state-normal form (default: ``step_nf`` with this closure's
-    memo).  ``states[i]`` is state i's representative, ``outputs[i]`` its
-    acceptance bit and ``transitions[i]`` its successors in alphabet order,
-    None until :meth:`row` derives them; ``roots`` are the ids of the given
-    expressions, in input order.  Meeting more than ``cap`` states raises
-    :class:`StateLimitExceeded`."""
+    memo).  ``states[i]`` is state i's form, ``outputs[i]`` its output and
+    ``transitions[i]`` its successors in alphabet order, None until
+    :meth:`row` derives them (readers of ``transitions`` need :func:`build`,
+    which derives all); ``roots`` are the given expressions' ids, in order.
+    More than ``cap`` states raise :class:`StateLimitExceeded`."""
 
     def __init__(
         self,
@@ -123,7 +123,7 @@ def product_pairs(aut: Closure, s: int, t: int) -> tuple[tuple[int, int], ...]:
 
 
 def to_dot(aut: Closure) -> str:
-    """Graphviz rendering of a built closure: accepting states doubly circled."""
+    """Graphviz rendering of a closure from :func:`build`: accepting states doubly circled."""
 
     def esc(text: str) -> str:
         return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -111,7 +111,7 @@ class DescentResult:
 
 
 def kleene_descent(aut: Closure) -> DescentResult:
-    """The iteration of the one-step operator from the top table, in one pass.
+    """The one-step iteration from the top table, on a closure from ``build``, in one pass.
 
     One step maps a pair with disagreeing outputs to exponent 0, and any
     other to one more than the least exponent among its same-letter successor

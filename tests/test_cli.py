@@ -390,17 +390,23 @@ def test_prove_tight(capsys):
 
 
 def test_prove_tight_builds_the_automaton_once(capsys, monkeypatch):
-    calls = []
+    closures = []
 
-    def counting_build(*args, **kwargs):
-        calls.append(args)
-        return automaton.build(*args, **kwargs)
+    class CountingClosure(automaton.Closure):
+        def __init__(self, roots, alphabet, cap, derive=None):
+            closures.append(derive)
+            super().__init__(roots, alphabet, cap, derive)
 
-    for module in (cli, proof):
-        monkeypatch.setattr(module, "build", counting_build)
+    for module in (automaton, metric):
+        monkeypatch.setattr(module, "Closure", CountingClosure)
     code, tight, _ = run(capsys, "prove", "(a+b)*;a;b", "(a+b)*;b;b", "--tight")
     assert code == 0
-    assert len(calls) == 1
+    assert closures == [None]
+    closures.clear()
+    code, _, _ = run(capsys, "prove", "(a+b)*;a;b", "(a+b)*;b;b", "--tight", "--verify")
+    assert code == 0
+    assert closures.count(None) == 1
+    assert set(closures) <= {None, metric._literal_step}
     code, explicit, _ = run(capsys, "prove", "(a+b)*;a;b", "(a+b)*;b;b", "1/4")
     assert (code, explicit) == (0, tight)
 
