@@ -26,18 +26,9 @@ from .metric import (
     kleene_descent,
     literal_separation,
     pair_count,
+    read_rational,
     separating_word,
     witness,
-)
-from .proof import (
-    Certificate,
-    SynthesisFailure,
-    diagnose_certificate,
-    from_json,
-    normal_form_proof,
-    read_rational,
-    synthesize,
-    to_json,
 )
 from .syntax import Alphabet, Regex, RegexError, infer_alphabet, make_alphabet, parse, pretty
 
@@ -187,6 +178,8 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
+    from .check import diagnose_certificate, to_json
+    from .proof import SynthesisFailure, synthesize
     cfg, alphabet = _setup(args)
     e, f = _parse_pair(args, alphabet)
     if args.epsilon is None and not args.tight:
@@ -213,6 +206,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .check import diagnose_certificate, from_json
     cert = from_json(_read_input(args.certificate))
     counts: dict[str, int] = {}
     err = diagnose_certificate(cert, counts)
@@ -268,6 +262,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_nf(args: argparse.Namespace) -> int:
+    from .check import Certificate, to_json
+    from .proof import normal_form_proof
     cfg, alphabet = _setup(args)
     e = parse(args.expr, alphabet)
     if alphabet is None:

@@ -44,6 +44,17 @@ class Config:
             raise ValueError(f"discount must lie strictly between 0 and 1, got {self.discount}")
 
 
+def read_rational(text: str | int) -> Fraction:
+    """``Fraction(text)``, refusing exponent notation: ``1e10000000`` would take
+    seconds to expand, into more digits than ``str`` prints."""
+    if not (isinstance(text, str) and ("e" in text or "E" in text)):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"cannot read {text!r} as a rational")
+
+
 @total_ordering
 @dataclass(frozen=True)
 class ExponentValue:

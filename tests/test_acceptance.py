@@ -20,16 +20,15 @@ from regdist.metric import (
     pair_count,
     witness,
 )
+from regdist.check import diagnose, serialize
 from regdist.oracle import brute_distance, denote
 from regdist.proof import (
     Judgement,
     check_certificate,
-    diagnose,
     diagnose_certificate,
     from_json,
     normal_form_proof,
     salomaa_rule,
-    serialize,
     star_unroll_proof,
     synthesize,
 )

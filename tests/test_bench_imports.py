@@ -1,16 +1,19 @@
-"""The imports from the library of the scripts this suite does not collect resolve.
+"""The imports from the library of the scripts this suite does not collect,
+and of README's examples, resolve.
 
 ``bench/`` and the scripts under ``tests/compat/`` (``hash_outputs.py``, which
 proves output byte-identical, and ``write_corpus.py``, which writes
 compatibility corpora) are not collected by this suite, so a cleanup of
 ``src/`` that removes a name they import would only show when they ran.
-This reads their ``*.py`` files with ``ast`` and runs none of it.
+This reads their ``*.py`` files, and README's ``python`` blocks, with ``ast``
+and runs none of it.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,5 +60,20 @@ def test_every_name_the_compat_scripts_import_from_regdist_resolves():
         ("hash_outputs.py", "regdist", "cli"),
         ("write_corpus.py", "regdist.proof", "star_unroll_proof"),
     }
+    missing = _unresolved(imports)
+    assert not missing, missing
+
+
+def test_every_name_the_readme_examples_import_from_regdist_resolves():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    imports = [
+        ("README.md", node.module, alias.name)
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "regdist"
+        for alias in node.names
+    ]
+    assert {m for _, m, _ in imports} >= {"regdist", "regdist.check", "regdist.proof"}
     missing = _unresolved(imports)
     assert not missing, missing

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import regdist
-from regdist import automaton, cli, metric, proof
+from regdist import automaton, cli, metric
+from regdist.check import MAX_SPOT_INDEX
 from regdist.cli import main
 from regdist.proof import diagnose_certificate, from_json
 from regdist.derivatives import output
@@ -345,11 +346,45 @@ def test_check_of_a_deep_star_unroll_instance_is_valid_up_to_the_budget(tmp_path
         proc = run_process("check", str(target))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("valid:")
-    target.write_text(json.dumps(_star_unroll_document([proof.MAX_SPOT_INDEX + 1])))
+    target.write_text(json.dumps(_star_unroll_document([MAX_SPOT_INDEX + 1])))
     proc = run_process("check", str(target))
     assert proc.returncode == 1
-    assert f"over the budget of {proof.MAX_SPOT_INDEX}" in proc.stdout + proc.stderr
+    assert f"over the budget of {MAX_SPOT_INDEX}" in proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Run by a fresh interpreter: the command in argv through ``cli.main`` (none
+# for a bare import), then its exit code and the loaded regdist modules.
+_LOADED_MODULES = """
+import sys
+from regdist import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(m for m in sys.modules if m.startswith("regdist")), file=sys.stderr)
+"""
+
+
+def _modules_loaded(*argv, stdin=""):
+    src = os.path.dirname(os.path.dirname(regdist.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv], input=stdin, capture_output=True, text=True, env=env, timeout=120
+    )
+    code, *modules = proc.stderr.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return set(modules)
+
+
+def test_each_command_loads_only_the_certificate_code_it_runs(capsys, tmp_path):
+    certificate_code = {"regdist.check", "regdist.proof"}
+    bare = _modules_loaded()
+    assert "regdist.cli" in bare and not bare & certificate_code
+    assert not _modules_loaded("dist", "a", "b") & certificate_code
+    assert not _modules_loaded("batch", "-", stdin="a*\ta+1\n") & certificate_code
+    target = tmp_path / "cert.json"
+    assert run(capsys, "prove", "a*", "a+1", "--tight", "-o", str(target))[0] == 0
+    assert _modules_loaded("check", str(target)) & certificate_code == {"regdist.check"}
+    assert _modules_loaded("prove", "a*", "a+1", "--tight") >= certificate_code
+    assert _modules_loaded("nf", "a*") >= certificate_code
 
 
 def test_prove_writes_a_checkable_certificate(capsys, tmp_path):
@@ -463,6 +498,12 @@ def test_check_malformed_documents_exit_2(capsys, tmp_path, monkeypatch):
     target.write_text(json.dumps(doc))
     code, _, err = run(capsys, "check", str(target))
     assert code == 2
+    # nor a version, and neither is 1.0: the version is the integer 1
+    doc["root"]["conclusion"]["eps"] = "1"
+    for version in (True, 1.0):
+        target.write_text(json.dumps({**doc, "version": version}))
+        code, out, err = run(capsys, "check", str(target))
+        assert (code, out, err) == (2, "", f"error: unsupported certificate version {version!r}\n")
 
 
 TOP_DOCUMENT = {

@@ -1,24 +1,23 @@
+import ast
 import gc
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from regdist import automaton, derivatives, proof
+from regdist import automaton, check, derivatives, proof
 from regdist.automaton import build, product_pairs
+from regdist.check import CertificateError, CheckError, MAX_SPOT_INDEX, Meta, deserialize, diagnose, serialize
 from regdist.derivatives import fundamental_decomposition, output, step
 from regdist.metric import Config, distance
 from regdist.oracle import brute_distance, brute_witness, denote
 from regdist.proof import (
     Certificate,
-    CertificateError,
-    CheckError,
-    MAX_SPOT_INDEX,
     Derivation,
     Judgement,
-    Meta,
     ProofError,
     Rule,
     SynthesisFailure,
@@ -28,8 +27,6 @@ from regdist.proof import (
     cont_template,
     d1,
     d2,
-    deserialize,
-    diagnose,
     diagnose_certificate,
     expand,
     from_json,
@@ -46,7 +43,6 @@ from regdist.proof import (
     s_zero,
     salomaa_rule,
     seq_cong,
-    serialize,
     sl1,
     sl2,
     sl3,
@@ -362,9 +358,21 @@ def test_checker_builds_no_automaton(monkeypatch):
         assert diagnose_certificate(cert) is None
 
 
+def test_the_checker_module_imports_no_prover_and_no_automaton_closure():
+    # check.py, the trust anchor, stands without proof.py and without the
+    # closure the prover derives with step_nf
+    tree = ast.parse(Path(check.__file__).read_text(encoding="utf-8"))
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    imported |= {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert not imported & {"proof", "regdist.proof"}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not (imported | names) & {"build", "step_nf"}
+
+
 def test_descent_template_over_the_state_cap_is_invalid(monkeypatch):
     # (a+b)* vs (a*;b*)* closes to 4 states
-    monkeypatch.setattr(proof, "DEFAULT_STATE_CAP", 3)
+    monkeypatch.setattr(check, "DEFAULT_STATE_CAP", 3)
     err = diagnose(_descent_node("(a+b)*", "(a*;b*)*"), CFG)
     assert isinstance(err, CheckError) and err.path == ()
     assert "state cap of 3 exceeded" in err.reason
@@ -481,7 +489,7 @@ def test_serialize_round_trip_preserves_everything():
     assert doc["version"] == 1
     assert doc["lambda"] == "1/2"
     assert deserialize(doc) == cert
-    assert from_json(to_json(cert, indent=None)) == cert
+    assert from_json(to_json(cert)) == cert
 
 
 # The recursive writer that ``serialize`` replaced, kept as a reference for
@@ -541,7 +549,7 @@ def test_to_json_writes_the_document_of_the_recursive_writer(corpus):
 def test_compact_and_indented_documents_read_back_alike(corpus):
     for cert in _writer_certificates(corpus):
         compact = from_json(to_json(cert))
-        indented = from_json(to_json(cert, indent=2))
+        indented = from_json(json.dumps(serialize(cert), indent=2))
         assert compact == indented == cert
         assert check_certificate(compact) and check_certificate(indented)
 
@@ -591,6 +599,8 @@ def _descent_root(spot_indices):
         lambda d: d["root"].update(premises="zzz"),
         lambda d: d["root"]["conclusion"].update(eps=True),
         lambda d: d.update(root=_descent_root([True, False])),
+        lambda d: d.update(version=True),
+        lambda d: d.update(version=1.0),
     ],
 )
 def test_deserialize_rejects_malformed_documents(mangle):
@@ -676,8 +686,8 @@ def test_reader_rebuilds_the_proof_dag_and_the_checker_visits_it_once(monkeypatc
     # the prover builds some equal nodes twice); the reader shares by content
     assert _distinct(read.root, lambda d: d.premises) == _distinct_subtrees(serialize(cert)) == 793
     calls = []
-    check_node = proof._check_node
-    monkeypatch.setattr(proof, "_check_node", lambda *a: calls.append(1) or check_node(*a))
+    check_node = check._check_node
+    monkeypatch.setattr(check, "_check_node", lambda *a: calls.append(1) or check_node(*a))
     assert diagnose_certificate(read) is None
     assert len(calls) == 793
     # the document prove writes: 157 nodes in the text, 147 distinct
@@ -906,13 +916,13 @@ def test_rules_with_bounds_are_semantically_sound():
         for hyp in loops:
             if _true_distance(hyp.left, hyp.right) == 0:
                 template = salomaa_rule(hyp)
-                assert proof.diagnose(template, CFG, [hyp]) is None
+                assert diagnose(template, CFG, [hyp]) is None
                 rules += [template] + [star_unroll_proof(hyp, n, CFG) for n in range(3)]
                 seen["star_unroll"] += 1
         # the descent schema: kept where the checker settles it
         for j in [Judgement(x, y, 0), *loops]:
             descent = cont_template("descent", {"left": pretty(j.left), "right": pretty(j.right)}, j)
-            if proof.diagnose(descent, CFG) is None:
+            if diagnose(descent, CFG) is None:
                 rules.append(descent)
                 seen["descent"] += 1
         for d in rules:
